@@ -6,7 +6,6 @@ sequences, which is what the enumeration oracles verify against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,8 @@ def all_sequences(seq_len: int, vocab: int) -> np.ndarray:
     """All vocab^seq_len sequences in lexicographic order, shape (N, D)."""
     if vocab ** seq_len > ENUM_GUARD:
         raise DatasetError(f"state space {vocab}^{seq_len} exceeds enumeration guard")
-    return np.array(list(itertools.product(range(vocab), repeat=seq_len)), dtype=np.int64)
+    grid = np.indices((vocab,) * seq_len, dtype=np.int64)
+    return np.ascontiguousarray(grid.reshape(seq_len, vocab ** seq_len).T)
 
 
 def seq_index(x: np.ndarray, vocab: int) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import ENUM_GUARD, all_sequences, seq_index
+from .data import ENUM_GUARD, all_sequences
 from .numerics import RngState, entropy, log_softmax, one_hot
 from .process import DiffusionProcess
 
@@ -46,39 +48,111 @@ def tv(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.asarray(a) - np.asarray(b))))
 
 
+# Largest block, in bytes, that the exact-chain DP and the oracle denoiser
+# build at once: both work through their source rows in chunks that fit it.
+# A few thousand states still take one block per step (a 1,024-state dense
+# joint is 8 MiB per draw); only larger spaces pay for more chunks.
+CHUNK_BYTES = 32 * 2 ** 20
+
+
 def _posterior_table(process: DiffusionProcess, s: float, t: float) -> np.ndarray:
     """P[z, c, j] = q(z_s=j | z_t=z, x=c) for every (current token, clean token)."""
-    sched = process.schedule
-    alpha_s, alpha_t = float(sched.alpha(s)), float(sched.alpha(t))
+    alpha_s, alpha_t = process.schedule.alpha((s, t)).tolist()
     a_ts = alpha_t / alpha_s if alpha_s > 0 else 1.0
     keff, K = process.vocab_eff, process.vocab
     pi = process.pi
 
-    z = np.arange(keff)
-    bracket1 = a_ts * np.eye(keff) + (1.0 - a_ts) * pi[z][:, None]  # (z, j)
-    x_oh = one_hot(np.arange(K), keff)  # (c, j)
-    bracket2 = alpha_s * x_oh + (1.0 - alpha_s) * pi  # (c, j)
-    denom = alpha_t * x_oh[:, z].T + (1.0 - alpha_t) * pi[z][:, None]  # (z, c)
-
-    table = np.zeros((keff, K, keff))
-    ok = denom > 1e-30
-    num = bracket1[:, None, :] * bracket2[None, :, :]
-    table[ok] = num[ok] / denom[ok][:, None]
+    eye = np.eye(keff)
+    bracket1 = a_ts * eye + (1.0 - a_ts) * pi[:, None]  # (z, j)
+    bracket2 = alpha_s * eye[:K] + (1.0 - alpha_s) * pi  # (c, j)
+    denom = alpha_t * eye[:, :K] + (1.0 - alpha_t) * pi[:, None]  # (z, c)
+    # (z, c) pairs the forward process cannot produce get an all-zero row
+    denom[denom <= 1e-30] = np.inf
+    table = bracket1[:, None, :] * bracket2[None, :, :] / denom[:, :, None]
     if process.masked:
         # carry-over: revealed tokens never move, whatever x says
-        for zd in range(K):
-            table[zd, :, :] = 0.0
-            table[zd, :, zd] = 1.0
+        table[:K] = eye[:K, None, :]
     return table
 
 
 def _joint_rows(per_pos: np.ndarray) -> np.ndarray:
-    """Product over positions of per-position rows: (N, D, J) -> (N, J^D)."""
-    joint = per_pos[:, 0, :]
-    for d in range(1, per_pos.shape[1]):
-        joint = joint[:, :, None] * per_pos[:, d, :][:, None, :]
-        joint = joint.reshape(joint.shape[0], -1)
+    """Product over positions of per-position rows: (..., D, J) -> (..., J^D)."""
+    joint = per_pos[..., 0, :]
+    for d in range(1, per_pos.shape[-2]):
+        joint = joint[..., :, None] * per_pos[..., d, None, :]
+        joint = joint.reshape(*joint.shape[:-2], -1)
     return joint
+
+
+class _ChainPlan(NamedTuple):
+    """Successor structure of one state space, grouped by free positions.
+
+    A position is free when the chain may still change it: every position of
+    a uniform chain, the MASK positions of a masked one. The states with a
+    free position are listed in `order`, grouped by their number m of free
+    positions; group g holds `order[bounds[g]:bounds[g + 1]]`. For each of
+    its states a group lists the m free positions (`cols`) and the keff^m
+    successors (`succ`), one per assignment of tokens to the free positions
+    in lexicographic order. The all-free group (`succ` None) moves to every
+    state. `kept` is 1.0 on the fully revealed states, which never move, and
+    0.0 elsewhere.
+    """
+
+    states: np.ndarray  # (keff^D, D), all_sequences order
+    order: np.ndarray
+    bounds: tuple
+    groups: tuple       # per group: (cols (n, m), succ (n, keff^m) or None)
+    kept: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _chain_plan(keff: int, seq_len: int, mask_id: int | None) -> _ChainPlan:
+    states = all_sequences(seq_len, keff)
+    free = np.ones_like(states, dtype=bool) if mask_id is None else states == mask_id
+    n_free = free.sum(axis=1)
+    order = np.argsort(n_free, kind="stable")
+    order = order[n_free[order] > 0]
+    sizes, starts = np.unique(n_free[order], return_index=True)
+    bounds = (*starts.tolist(), len(order))
+    place = keff ** np.arange(seq_len - 1, -1, -1)
+    groups = []
+    for m, lo, hi in zip(sizes.tolist(), bounds, bounds[1:]):
+        rows = order[lo:hi]
+        cols = np.nonzero(free[rows])[1].reshape(len(rows), m)
+        succ = None
+        if m < seq_len:
+            # zero the free (MASK) digits, then add every token on each of them
+            succ = (rows - mask_id * place[cols].sum(axis=1))[:, None]
+            for d in range(m):
+                succ = succ[:, :, None] + place[cols[:, d], None, None] * np.arange(keff)
+                succ = succ.reshape(len(rows), -1)
+        groups.append((cols, succ))
+    for arr in (states, order, *(a for g in groups for a in g if a is not None)):
+        arr.flags.writeable = False
+    return _ChainPlan(states, order, bounds, tuple(groups), (n_free == 0).astype(np.float64))
+
+
+def _spread(out: np.ndarray, mass: np.ndarray, per_pos: np.ndarray,
+            succ: np.ndarray | None) -> None:
+    """Add one group's outgoing mass to `out`, in row chunks of CHUNK_BYTES.
+
+    per_pos (draws, N, m, keff) holds each source row's per-draw rows over its
+    m free positions. The joint over those positions is averaged over draws
+    after the product. Row n's share lands on succ[n], or on every state when
+    `succ` is None.
+    """
+    draws, n_rows, m, keff = per_pos.shape
+    step = max(1, CHUNK_BYTES // (8 * keff ** m * (draws + 1)))
+    for lo in range(0, n_rows, step):
+        hi = lo + step
+        joint = _joint_rows(per_pos[:, lo:hi])
+        joint = joint[0] if draws == 1 else joint.mean(axis=0)
+        if succ is None:
+            out += mass[lo:hi] @ joint
+        else:
+            # rows of one group can share successors, so the scatter must add repeats
+            out += np.bincount(succ[lo:hi].ravel(), (mass[lo:hi, None] * joint).ravel(),
+                               minlength=len(out))
 
 
 def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len: int,
@@ -88,48 +162,68 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
     `predict(z_states, t)` (or `predict(z_states, t, eps)` when `noise_draws`
     is given) returns per-position probabilities over the data vocabulary for
     a batch of states. Noise-conditioned generators are marginalized over the
-    fixed `noise_draws` rows: the joint per-state transition is averaged over
+    fixed `noise_draws` rows: each chain step stacks the draws over the live
+    states into one `predict` call (split by whole draws into calls of at most
+    ENUM_GUARD rows), and the joint per-state transition is averaged over
     draws after the product across positions, since positions are only
     independent given the noise.
+
+    Each state only reaches the states that differ from it in its free
+    positions (all of them for a uniform chain, its MASK positions for a
+    masked one), and fully revealed states never move. The DP visits only
+    those successors and builds them in row chunks of at most CHUNK_BYTES, so
+    every space up to ENUM_GUARD (20,000 states) runs in bounded memory.
     """
     keff, K = process.vocab_eff, process.vocab
     n_states = keff ** seq_len
     if n_states > ENUM_GUARD:
         raise MetricError(f"state space {keff}^{seq_len} exceeds enumeration guard")
-    states = all_sequences(seq_len, keff)
+    plan = _chain_plan(keff, seq_len, process.mask_id if process.masked else None)
 
     dist = np.zeros(n_states)
     if process.masked:
-        dist[seq_index(np.full(seq_len, process.mask_id), keff)] = 1.0
+        dist[-1] = 1.0  # the all-MASK state
     else:
         dist[:] = 1.0 / n_states
+    draws = 1 if noise_draws is None else len(noise_draws)
 
     for i in range(k, 0, -1):
         t, s = i / k, (i - 1) / k
         table = _posterior_table(process, s, t)  # (z, c, j)
-        active = dist > 0
-        z_act = states[active]
-        gathered = table[z_act]  # (N, D, c, j)
-
-        if noise_draws is None:
-            xhat = predict(z_act, t)  # (N, D, K)
-            per_pos = np.einsum("ndc,ndcj->ndj", xhat, gathered)
-            joint = _joint_rows(per_pos)
-        else:
-            joint = 0.0
-            for eps in noise_draws:
-                eps_b = np.tile(eps[None, :], (z_act.shape[0], 1))
-                xhat = predict(z_act, t, eps_b)
-                per_pos = np.einsum("ndc,ndcj->ndj", xhat, gathered)
-                joint = joint + _joint_rows(per_pos)
-            joint = joint / len(noise_draws)
-
-        dist = dist[active] @ joint
+        new = dist * plan.kept
+        live = np.flatnonzero(dist[plan.order] > 0)
+        src = plan.order[live]
+        z_src = plan.states[src]
+        # whole draws per predict call, at most ENUM_GUARD rows unless one draw has more
+        per_call = max(1, ENUM_GUARD // max(len(src), 1))
+        per_pos = np.empty((draws, len(src), seq_len, keff))
+        for r in range(0, draws, per_call):
+            if noise_draws is None:
+                xhat = predict(z_src, t)
+            else:
+                eps = noise_draws[r:r + per_call]
+                xhat = predict(np.tile(z_src, (len(eps), 1)), t, np.repeat(eps, len(src), axis=0))
+            xhat = np.asarray(xhat).reshape(-1, len(src), seq_len, K)
+            if process.masked:
+                # the free positions of a masked chain all hold MASK
+                per_pos[r:r + per_call] = xhat @ table[-1]
+            else:
+                per_pos[r:r + per_call] = np.einsum("rndc,ndcj->rndj", xhat, table[z_src])
+        mass = dist[src]
+        live_bounds = np.searchsorted(live, plan.bounds).tolist()
+        for (cols, succ), lo, hi, start, stop in zip(plan.groups, live_bounds, live_bounds[1:],
+                                                     plan.bounds, plan.bounds[1:]):
+            if lo == hi:
+                continue
+            if hi - lo < stop - start:  # only part of the group holds mass
+                rel = live[lo:hi] - start
+                cols, succ = cols[rel], None if succ is None else succ[rel]
+            rows = per_pos[:, lo:hi] if succ is None else per_pos[:, np.arange(lo, hi)[:, None], cols]
+            _spread(new, mass[lo:hi], rows, succ)
+        dist = new
 
     if process.masked:
-        clean = all_sequences(seq_len, K)
-        idx = seq_index(clean, keff)
-        clean_probs = dist[idx]
+        clean_probs = dist[plan.kept > 0]
         if dist.sum() - clean_probs.sum() > 1e-9:
             raise MetricError("chain left mass on MASK at s=0")
         dist = clean_probs / clean_probs.sum()
@@ -140,27 +234,32 @@ def oracle_denoiser(q: ExactDistribution, process: DiffusionProcess):
     """The exact conditional-marginal denoiser for data distribution q.
 
     Returns predict(z_states, t) -> factorized probabilities q(x_d | z_t),
-    computed by enumeration over the support of q.
+    computed by enumeration over the support of q, in row chunks of at most
+    CHUNK_BYTES.
     """
     seqs = all_sequences(q.seq_len, q.vocab)  # (M, D)
+    seq_oh = one_hot(seqs, q.vocab).reshape(len(seqs), -1)  # (M, D*K)
     pi = process.pi
+
+    step = max(1, CHUNK_BYTES // (8 * seqs.size))
 
     def predict(z_states, t):
         alpha_t = float(process.schedule.alpha(t))
         z_states = np.asarray(z_states)
-        # p(z_d | x_d) for every (state, position, candidate x)
-        match = seqs[None, :, :] == z_states[:, None, :]  # (N, M, D)
-        lik = alpha_t * match + (1.0 - alpha_t) * pi[z_states][:, None, :]
-        w = q.probs[None, :] * np.prod(lik, axis=2)  # (N, M)
-        totals = w.sum(axis=1, keepdims=True)
-        w = w / np.maximum(totals, 1e-300)
-        out = np.zeros((z_states.shape[0], q.seq_len, q.vocab))
-        for c in range(q.vocab):
-            out[:, :, c] = np.einsum("nm,md->nd", w, (seqs == c).astype(np.float64))
-        # states outside the support of q (a factorized sampler can produce
-        # them) get a uniform prediction rather than an all-zero row
-        dead = totals[:, 0] <= 0.0
-        out[dead] = 1.0 / q.vocab
+        out = np.empty((z_states.shape[0], q.seq_len, q.vocab))
+        for lo in range(0, z_states.shape[0], step):
+            z = z_states[lo:lo + step]
+            # p(z_d | x_d) for every (state, position, candidate x)
+            match = seqs[None, :, :] == z[:, None, :]  # (n, M, D)
+            lik = alpha_t * match + (1.0 - alpha_t) * pi[z][:, None, :]
+            w = q.probs * lik.prod(axis=2)  # (n, M)
+            totals = w.sum(axis=1, keepdims=True)
+            w /= np.maximum(totals, 1e-300)
+            chunk = out[lo:lo + step]
+            chunk[:] = (w @ seq_oh).reshape(chunk.shape)
+            # states outside the support of q (a factorized sampler can produce
+            # them) get a uniform prediction rather than an all-zero row
+            chunk[totals[:, 0] <= 0.0] = 1.0 / q.vocab
         return out
 
     return predict

@@ -1,5 +1,7 @@
 """Synthetic dataset tests: enumeration order, exact distributions, sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,14 @@ from ddlab.numerics import RngState
 def test_all_sequences_order_and_shape():
     seqs = all_sequences(2, 2)
     np.testing.assert_array_equal(seqs, [[0, 0], [0, 1], [1, 0], [1, 1]])
+
+
+def test_all_sequences_matches_itertools_product():
+    for seq_len, vocab in [(1, 1), (1, 5), (3, 2), (2, 4), (5, 3), (7, 4)]:
+        seqs = all_sequences(seq_len, vocab)
+        expected = np.array(list(itertools.product(range(vocab), repeat=seq_len)), dtype=np.int64)
+        assert seqs.dtype == expected.dtype and seqs.flags.c_contiguous
+        np.testing.assert_array_equal(seqs, expected)
 
 
 def test_seq_index_inverts_enumeration():
