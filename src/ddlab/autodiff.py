@@ -93,17 +93,27 @@ def div(a, b):
     return Var(out, tuple(parents))
 
 
+def _rows_matmul(x, w):
+    """x @ w as one 2-D product over all leading axes of x.
+
+    numpy multiplies a stack of matrices one matrix at a time, which rounds
+    differently from one product over the same rows; the fused network in
+    `nets` runs the 2-D form, and so does the tape.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+
+
 def matmul(a, b):
     """a @ b with b a 2-D weight matrix (the only case the models need)."""
     av, bv = value_of(a), value_of(b)
     if bv.ndim != 2:
         raise AutodiffError("matmul expects a 2-D right operand")
+    out = _rows_matmul(av, bv)
     if not _any_var(a, b):
-        return av @ bv
-    out = av @ bv
+        return out
     parents = []
     if isinstance(a, Var):
-        parents.append((a, lambda g: g @ bv.T))
+        parents.append((a, lambda g: _rows_matmul(g, bv.T)))
     if isinstance(b, Var):
         parents.append((b, lambda g: av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])))
     return Var(out, tuple(parents))
@@ -278,6 +288,7 @@ class ParamStore:
         self.values = np.zeros(0, dtype=np.float64)
         self.grads = np.zeros(0, dtype=np.float64)
         self.segments: dict[str, tuple[slice, tuple]] = {}
+        self._view_cache: dict[str, tuple] = {}
 
     def add(self, name: str, array: np.ndarray) -> None:
         if name in self.segments:
@@ -311,7 +322,22 @@ class ParamStore:
         return {name: Var(self.get(name), store_ref=(self, name)) for name in self.segments}
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: self.get(name) for name in self.segments}
+        """Named views into `values`."""
+        return dict(self._views("values"))
+
+    def grad_arrays(self) -> dict[str, np.ndarray]:
+        """Named views into `grads`, for writing a gradient in place."""
+        return dict(self._views("grads"))
+
+    def _views(self, attr: str) -> dict[str, np.ndarray]:
+        # built once per flat array; rebuilt when `add` or a caller replaces it
+        flat = getattr(self, attr)
+        cached = self._view_cache.get(attr)
+        if cached is None or cached[0] is not flat:
+            cached = (flat, {name: flat[sl].reshape(shape)
+                             for name, (sl, shape) in self.segments.items()})
+            self._view_cache[attr] = cached
+        return cached[1]
 
     def copy(self) -> "ParamStore":
         out = ParamStore()
@@ -342,8 +368,10 @@ def adam_step(store: ParamStore, state: AdamState, lr=1e-3, beta1=0.9, beta2=0.9
     if not np.all(np.isfinite(g)):
         raise NumericsError("non-finite gradients in adam_step")
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    state.v *= beta2
+    state.v += (1.0 - beta2) * g * g
     mhat = state.m / (1.0 - beta1 ** state.step)
     vhat = state.v / (1.0 - beta2 ** state.step)
     store.values -= lr * mhat / (np.sqrt(vhat) + eps)
@@ -359,14 +387,17 @@ class FiniteDiffReport:
 
 
 def finite_diff_check(f, store: ParamStore, epsilon=1e-5, max_coords=None, rng=None) -> FiniteDiffReport:
-    """Compare backward() against central differences of the scalar `f(store)`.
+    """Compare analytic gradients against central differences of the scalar `f()`.
 
-    `f` must be deterministic given the parameter values (fix its RngState).
+    `f` returns a tape Var, whose backward() gives the gradient, or a plain
+    loss after writing its own gradient into `store.grads` (a fused step).
+    It must be deterministic given the parameter values (fix its RngState).
     Checks all coordinates, or a random subset of `max_coords` for big stores.
     """
     store.zero_grad()
     loss = f()
-    backward(loss)
+    if isinstance(loss, Var):
+        backward(loss)
     analytic = store.grads.copy()
 
     n = store.values.size

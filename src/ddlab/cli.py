@@ -143,11 +143,18 @@ def cmd_distill(args) -> int:
                ["step", "phase", "loss", "gen_output_entropy", "eval_kl"],
                distiller.log_rows, cfg, seed)
     if dataset.enumerable:
+        # the last probe already measured the final generator at k = dcfg.k
+        rows = distiller.log_rows
+        final_kl = (rows[-1]["eval_kl"] if rows and rows[-1]["step"] == distiller.step_index - 1
+                    else None)
         table = []
         for k in sorted({1, 2, 4, dcfg.k}):
-            table.append({"k": k,
-                          "student_kl": _student_chain_kl(distiller.generator, dataset, process,
-                                                          k, dcfg.noise_marginal_draws, seed),
+            if k == dcfg.k and final_kl is not None:
+                student_kl = final_kl
+            else:
+                student_kl = _student_chain_kl(distiller.generator, dataset, process, k,
+                                               dcfg.noise_marginal_draws, seed)
+            table.append({"k": k, "student_kl": student_kl,
                           "teacher_kl": _teacher_chain_kl(teacher, dataset, process, k, dcfg)})
         _write_csv(os.path.join(out, "student_kl_vs_k.csv"),
                    ["k", "student_kl", "teacher_kl"], table, cfg, seed)

@@ -16,9 +16,9 @@ from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward
 from .data import SyntheticDataset
 from .nets import Denoiser, Generator, init_from_teacher
-from .numerics import RngState, categorical_sample, log_softmax, softmax
+from .numerics import RngState, categorical_sample, log_softmax, one_hot, softmax
 from .process import DiffusionProcess, diffuse, posterior, posterior_sample
-from .teacher import loss_weight
+from .teacher import cross_entropy_head, loss_weight
 
 
 class DistillError(ValueError):
@@ -126,7 +126,8 @@ def generator_loss(gen_probs, teacher_logp: np.ndarray, aux_logp: np.ndarray,
     """-sum_c xhat_c (log teacher - log aux)_c, mean over batch and positions.
 
     Only `gen_probs` may carry gradient; the log-probability arguments are
-    plain arrays (already stop-gradient by construction).
+    plain arrays (already stop-gradient by construction). The tape form of
+    `generator_loss_head`, which training runs.
     """
     tv_, av_ = np.asarray(teacher_logp), np.asarray(aux_logp)
     if ad.value_of(gen_probs).shape != tv_.shape or tv_.shape != av_.shape:
@@ -145,7 +146,8 @@ def auxiliary_loss(target, teacher_probs: np.ndarray, aux_logp,
     Soft targets are only valid for masked diffusion: a masked z_s slot gives
     no information about x, so the generator's soft vector is as valid a
     target as the hard sample. For uniform diffusion z_s is correlated with
-    the hard x that produced it, so only hard targets are unbiased.
+    the hard x that produced it, so only hard targets are unbiased. The tape
+    form of `auxiliary_loss_head`, which training runs.
     """
     target_arr = np.asarray(ad.value_of(target) if isinstance(target, ad.Var) else target)
     soft = target_arr.dtype.kind == "f"
@@ -159,6 +161,39 @@ def auxiliary_loss(target, teacher_probs: np.ndarray, aux_logp,
         ce_target = ad.mul(ad.take_along_last(aux_logp, target_arr.astype(np.int64)), -1.0)
     ce_teacher = ad.mul(ad.reduce_sum(ad.mul(aux_logp, np.asarray(teacher_probs)), axis=-1), -1.0)
     return _masked_mean(ad.add(ce_target, ce_teacher), weight, pos_mask)
+
+
+def _head_weights(weight, pos_mask: np.ndarray) -> np.ndarray:
+    """Per-row factors of `_masked_mean`: weight * pos_mask / denom."""
+    return weight * pos_mask / max(pos_mask.sum(), 1.0)
+
+
+def generator_loss_head(gen_probs: np.ndarray, teacher_logp: np.ndarray,
+                        aux_logp: np.ndarray, weight: np.ndarray):
+    """`generator_loss` of gen_probs = softmax(logits), with d/d(logits) in closed form.
+
+    `weight` holds one factor per row (`_head_weights`). Returns (loss, dlogits).
+    """
+    diff = aux_logp - teacher_logp
+    per_pos = np.sum(gen_probs * diff, axis=-1)
+    dlogits = (weight[..., None] * gen_probs) * (diff - per_pos[..., None])
+    return float(np.sum(weight * per_pos)), dlogits
+
+
+def auxiliary_loss_head(target, teacher_probs: np.ndarray, aux_logits: np.ndarray,
+                        process: DiffusionProcess, weight: np.ndarray):
+    """`auxiliary_loss` of log_softmax(aux_logits), with d/d(logits) in closed form.
+
+    Both cross-entropies share the aux log-probabilities, so they are one
+    cross-entropy against the sum of the two target rows.
+    """
+    target = np.asarray(target)
+    if target.dtype.kind == "f":
+        if not process.masked:
+            raise DistillError("soft auxiliary targets are only valid for masked diffusion")
+    else:
+        target = one_hot(target, teacher_probs.shape[-1])
+    return cross_entropy_head(aux_logits, target + teacher_probs, weight)
 
 
 def _posterior_logs(probs, z_s, s, ds, process):
@@ -259,56 +294,60 @@ class Distiller:
         n_noise = self.generator.config.n_noise
         eps = self.rng.normal((cfg.batch, n_noise)) if n_noise else None
         w = loss_weight(s, self.process, cfg.weighting)[:, None]
+        cache = {}
 
         if i % (1 + cfg.aux_per_gen) == 0:
-            phase = "gen"
-            self.generator.store.zero_grad()
-            params = self.generator.store.leaves()
-            xhat = ad.softmax(self.generator.forward(z_t, t, noise=eps, params=params))
-            x = categorical_sample(xhat.value, self.rng)
-            z_s = posterior_sample(x, z_t, s, t, self.process, self.rng)
-            pos_mask = _position_mask(z_s, self.process)
-            teacher_logp = self._teacher_logp(z_s, s)
-            if cfg.loss_variant == "cross_entropy":
-                aux_logp = log_softmax(self.auxiliary.forward(z_s, s))
-                loss = generator_loss(xhat, teacher_logp, aux_logp, w, pos_mask)
-            else:
-                loss = generator_loss_posterior(
-                    xhat, np.exp(teacher_logp), softmax(self.auxiliary.forward(z_s, s)),
-                    z_s, s, cfg.ds, self.process, w, pos_mask)
-            self._finish(loss, i, phase)
-            adam_step(self.generator.store, self.gen_opt, lr=cfg.gen_lr)
-        else:
-            phase = "aux"
-            xhat = softmax(self.generator.forward(z_t, t, noise=eps))
+            phase, model, opt, lr = "gen", self.generator, self.gen_opt, cfg.gen_lr
+            logits = model.forward(z_t, t, noise=eps, params=model.store.arrays(), cache=cache)
+            xhat = ad.softmax(logits)
             x = categorical_sample(xhat, self.rng)
             z_s = posterior_sample(x, z_t, s, t, self.process, self.rng)
             pos_mask = _position_mask(z_s, self.process)
             teacher_logp = self._teacher_logp(z_s, s)
-            self.auxiliary.store.zero_grad()
-            params = self.auxiliary.store.leaves()
+            aux_logits = self.auxiliary.forward(z_s, s)
+            if cfg.loss_variant == "cross_entropy":
+                loss, dlogits = generator_loss_head(xhat, teacher_logp, log_softmax(aux_logits),
+                                                    _head_weights(w, pos_mask))
+            else:
+                loss, dlogits = self._tape_head(logits, i, lambda probs: generator_loss_posterior(
+                    probs, np.exp(teacher_logp), softmax(aux_logits),
+                    z_s, s, cfg.ds, self.process, w, pos_mask))
+        else:
+            phase, model, opt, lr = "aux", self.auxiliary, self.aux_opt, cfg.aux_lr
+            xhat = softmax(self.generator.forward(z_t, t, noise=eps))
+            x = categorical_sample(xhat, self.rng)
+            z_s = posterior_sample(x, z_t, s, t, self.process, self.rng)
+            pos_mask = _position_mask(z_s, self.process)
+            teacher_probs = np.exp(self._teacher_logp(z_s, s))
+            logits = model.forward(z_s, s, params=model.store.arrays(), cache=cache)
             target = xhat if cfg.soft_targets else x
             if cfg.loss_variant == "cross_entropy":
-                aux_logp = ad.log_softmax(self.auxiliary.forward(z_s, s, params=params))
-                loss = auxiliary_loss(target, np.exp(teacher_logp), aux_logp,
-                                      self.process, w, pos_mask)
+                loss, dlogits = auxiliary_loss_head(target, teacher_probs, logits, self.process,
+                                                    _head_weights(w, pos_mask))
             else:
-                aux_probs = ad.softmax(self.auxiliary.forward(z_s, s, params=params))
-                loss = auxiliary_loss_posterior(xhat, np.exp(teacher_logp), aux_probs,
-                                                z_s, s, cfg.ds, self.process, w, pos_mask)
-            self._finish(loss, i, phase)
-            adam_step(self.auxiliary.store, self.aux_opt, lr=cfg.aux_lr)
+                loss, dlogits = self._tape_head(logits, i, lambda probs: auxiliary_loss_posterior(
+                    xhat, teacher_probs, probs, z_s, s, cfg.ds, self.process, w, pos_mask))
 
+        self._check_loss(loss, i)
+        model.backward(cache, dlogits)
+        adam_step(model.store, opt, lr=lr)
         self.step_index += 1
-        return phase, float(ad.value_of(loss))
+        return phase, loss
 
-    def _finish(self, loss, i, phase):
-        val = float(ad.value_of(loss))
+    def _tape_head(self, logits, i, loss_of_probs):
+        """A loss of softmax(logits) on the tape; returns (loss, d loss / d logits)."""
+        leaf = ad.Var(logits)
+        loss = loss_of_probs(ad.softmax(leaf))
+        val = self._check_loss(float(ad.value_of(loss)), i)
+        backward(loss)
+        return val, leaf.grad
+
+    def _check_loss(self, val: float, i: int) -> float:
         if not np.isfinite(val) or abs(val) > 1e15:
             cfg = self.config
             max_logit = _max_abs_teacher_logit(self)
             raise DistillDivergence(i, cfg.tau, cfg.top_p, max_logit, val)
-        backward(loss)
+        return val
 
     def run(self, steps: int, eval_fn=None) -> list[dict]:
         """Run `steps` alternating updates, recording a CSV-ready log."""
@@ -350,10 +389,7 @@ class Distiller:
         self.aux_opt.m[:] = state["aux_m"]
         self.aux_opt.v[:] = state["aux_v"]
         self.aux_opt.step = int(state["aux_step"])
-        self.rng.seed = int(state["rng"]["seed"]) if isinstance(state["rng"], dict) else self.rng.seed
-        if isinstance(state["rng"], dict):
-            self.rng.path = tuple(int(p) for p in state["rng"]["path"])
-            self.rng.counter = int(state["rng"]["counter"])
+        self.rng = RngState.from_state(state["rng"])
 
     def save_state(self, path) -> None:
         st = self.state()

@@ -249,10 +249,13 @@ def oracle_denoiser(q: ExactDistribution, process: DiffusionProcess):
         out = np.empty((z_states.shape[0], q.seq_len, q.vocab))
         for lo in range(0, z_states.shape[0], step):
             z = z_states[lo:lo + step]
-            # p(z_d | x_d) for every (state, position, candidate x)
-            match = seqs[None, :, :] == z[:, None, :]  # (n, M, D)
-            lik = alpha_t * match + (1.0 - alpha_t) * pi[z][:, None, :]
-            w = q.probs * lik.prod(axis=2)  # (n, M)
+            # prod_d p(z_d | x_d) for every (state, candidate x), one position
+            # at a time: (n, M) arrays, never an (n, M, D) one
+            lik = 1.0
+            for d in range(q.seq_len):
+                lik = lik * (alpha_t * (z[:, d, None] == seqs[:, d])
+                             + (1.0 - alpha_t) * pi[z[:, d]][:, None])
+            w = q.probs * lik  # (n, M)
             totals = w.sum(axis=1, keepdims=True)
             w /= np.maximum(totals, 1e-300)
             chunk = out[lo:lo + step]

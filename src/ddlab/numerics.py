@@ -108,10 +108,7 @@ def cross_entropy(target: np.ndarray, predicted_logprobs: np.ndarray) -> np.ndar
 
 
 def one_hot(tokens: np.ndarray, num_classes: int) -> np.ndarray:
-    tokens = np.asarray(tokens)
-    out = np.zeros(tokens.shape + (num_classes,), dtype=np.float64)
-    np.put_along_axis(out, tokens[..., None], 1.0, axis=-1)
-    return out
+    return np.eye(num_classes)[np.asarray(tokens)]
 
 
 def entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, adam_step, backward
+from .autodiff import AdamState, adam_step
 from .data import SyntheticDataset
 from .nets import Denoiser, ModelConfig
-from .numerics import NumericsError, RngState
+from .numerics import NumericsError, RngState, one_hot
 from .process import DiffusionProcess, diffuse
 
 
@@ -35,27 +35,63 @@ def loss_weight(t: np.ndarray, process: DiffusionProcess, weighting: str) -> np.
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
-def teacher_loss(model: Denoiser, batch: np.ndarray, process: DiffusionProcess,
-                 rng: RngState, weighting: str = "unit", params=None):
-    """Mean w(t) * CE(x | softmax(model(z_t, t))) with per-example t ~ U(0,1).
+def _noised_batch(batch: np.ndarray, process: DiffusionProcess, rng: RngState,
+                  weighting: str):
+    """Draws per-example t ~ U(0,1) and z_t; returns (t, z_t, w(t) * positions, denom).
 
-    For masked processes the cross-entropy is restricted to masked positions;
-    unmasked positions carry no signal under absorbing noise. Returns a Var
-    when `params` contains Vars.
+    For masked processes the positions are the masked slots; unmasked
+    positions carry no signal under absorbing noise.
     """
-    batch = np.asarray(batch)
     t = rng.uniform(size=batch.shape[0])
     z_t = diffuse(batch, t, process, rng)
-    logits = model.forward(z_t, t, params=params)
-    logp = ad.log_softmax(logits)
-    ce = ad.mul(ad.take_along_last(logp, batch), -1.0)  # (B, D)
     w = loss_weight(t, process, weighting)[:, None]
     if process.masked:
         pos = (z_t == process.mask_id).astype(np.float64)
     else:
         pos = np.ones_like(batch, dtype=np.float64)
-    denom = max(pos.sum(), 1.0)
-    return ad.div(ad.reduce_sum(ad.mul(ce, w * pos)), denom)
+    return t, z_t, w * pos, max(pos.sum(), 1.0)
+
+
+def teacher_loss(model: Denoiser, batch: np.ndarray, process: DiffusionProcess,
+                 rng: RngState, weighting: str = "unit", params=None):
+    """Mean w(t) * CE(x | softmax(model(z_t, t))) with per-example t ~ U(0,1).
+
+    For masked processes the cross-entropy is restricted to masked positions.
+    Returns a Var when `params` contains Vars: the tape oracle of
+    `teacher_step`, which draws the same batch from the same `rng`.
+    """
+    batch = np.asarray(batch)
+    t, z_t, wpos, denom = _noised_batch(batch, process, rng, weighting)
+    logits = model.forward(z_t, t, params=params)
+    logp = ad.log_softmax(logits)
+    ce = ad.mul(ad.take_along_last(logp, batch), -1.0)  # (B, D)
+    return ad.div(ad.reduce_sum(ad.mul(ce, wpos)), denom)
+
+
+def cross_entropy_head(logits: np.ndarray, target: np.ndarray, weight: np.ndarray):
+    """sum(weight * CE(target | softmax(logits))) and its gradient wrt the logits.
+
+    `target` holds rows over the classes (one-hot, soft, or a sum of such
+    rows) and `weight` one factor per row; d/d(logits) is, in closed form,
+    weight * (softmax * sum(target) - target).
+    """
+    logp = ad.log_softmax(logits)
+    loss = -float(np.sum(weight * np.sum(target * logp, axis=-1)))
+    dlogits = weight[..., None] * (np.exp(logp) * np.sum(target, axis=-1, keepdims=True) - target)
+    return loss, dlogits
+
+
+def teacher_step(model: Denoiser, batch: np.ndarray, process: DiffusionProcess,
+                 rng: RngState, weighting: str = "unit") -> float:
+    """The teacher loss on the fused net: writes its gradient into
+    `model.store.grads` and returns its value."""
+    batch = np.asarray(batch)
+    t, z_t, wpos, denom = _noised_batch(batch, process, rng, weighting)
+    cache = {}
+    logits = model.forward(z_t, t, params=model.store.arrays(), cache=cache)
+    loss, dlogits = cross_entropy_head(logits, one_hot(batch, model.config.vocab), wpos / denom)
+    model.backward(cache, dlogits)
+    return loss
 
 
 def train_teacher(dataset: SyntheticDataset, process: DiffusionProcess,
@@ -69,13 +105,9 @@ def train_teacher(dataset: SyntheticDataset, process: DiffusionProcess,
     t0 = time.monotonic()
     for step in range(train_config.steps):
         x = dataset.sample(train_config.batch, step_rng)
-        params = model.store.leaves()
-        model.store.zero_grad()
-        loss = teacher_loss(model, x, process, step_rng, train_config.weighting, params=params)
-        loss_val = float(ad.value_of(loss))
+        loss_val = teacher_step(model, x, process, step_rng, train_config.weighting)
         if not np.isfinite(loss_val):
             raise NumericsError(f"teacher loss diverged at step {step}")
-        backward(loss)
         adam_step(model.store, opt, lr=train_config.lr)
         if step % train_config.eval_every == 0 or step == train_config.steps - 1:
             eval_kl = _eval_kl(model, dataset, process, train_config.eval_steps)

@@ -200,3 +200,39 @@ def test_cli_sweep_bad_axis(config_path, tmp_path):
                  "--values", "1", "--out", str(tmp_path)]) == 2
     assert main(["sweep", "--config", config_path, "--axis", "distill.bogus",
                  "--values", "1", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
+    # the k = [distill] k row of student_kl_vs_k.csv is the last probe's value
+    # when that probe saw the final generator, and is computed otherwise
+    import ddlab.cli as cli
+
+    out = str(tmp_path / "out")
+    assert main(["train-teacher", "--config", config_path, "--out", out, "--seed", "7"]) == 0
+    calls = []
+    real = cli.exact_chain_distribution
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_chain_distribution", counting)
+    teacher = os.path.join(out, "teacher.ckpt")
+    assert main(["distill", "--config", config_path, "--teacher", teacher,
+                 "--out", out, "--seed", "7"]) == 0
+    # probes at steps 0, 30, 59; then teacher k = 1, 2, 4 and student k = 2, 4
+    assert len(calls) == 3 + 3 + 2
+    table = open(os.path.join(out, "student_kl_vs_k.csv"), "rb").read()
+
+    cfg = load_config(config_path)
+    gen, _ = cli.model_from_checkpoint(os.path.join(out, "generator.ckpt"))
+    fresh = cli._student_chain_kl(gen, cfg.dataset(), cfg.process(), 1, 8, 7)
+    assert table.decode().splitlines()[2].split(",")[1] == f"{fresh:.10g}"
+
+    # resumed at the last step: no probe runs, so the table computes every row
+    calls.clear()
+    resumed = str(tmp_path / "resumed")
+    assert main(["distill", "--config", config_path, "--teacher", teacher, "--out", resumed,
+                 "--seed", "7", "--resume", os.path.join(out, "distill_state.npz")]) == 0
+    assert len(calls) == 3 + 3
+    assert open(os.path.join(resumed, "student_kl_vs_k.csv"), "rb").read() == table
