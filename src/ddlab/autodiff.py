@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .numerics import NumericsError
 
 
@@ -210,9 +211,7 @@ def take_along_last(a, indices):
 
 
 def log_softmax(a, axis: int = -1):
-    av = value_of(a)
-    shifted = av - np.max(av, axis=axis, keepdims=True)
-    out = shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    out = numerics.log_softmax(value_of(a), axis=axis)
     if not _any_var(a):
         return out
     p = np.exp(out)
@@ -220,10 +219,7 @@ def log_softmax(a, axis: int = -1):
 
 
 def softmax(a, axis: int = -1):
-    av = value_of(a)
-    shifted = av - np.max(av, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = numerics.softmax(value_of(a), axis=axis)
     if not _any_var(a):
         return out
     return Var(out, ((a, lambda g: out * (g - np.sum(g * out, axis=axis, keepdims=True))),))

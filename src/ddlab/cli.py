@@ -13,11 +13,11 @@ import os
 import sys
 
 from .config import ConfigError, ExperimentConfig, config_hash, load_config
-from .distill import DistillDivergence, Distiller, student_sample, teacher_logits
+from .distill import DistillDivergence, Distiller, teacher_logits
 from .metrics import (ExactDistribution, ReferenceModel, exact_chain_distribution,
                       factorized_oracle_chain, generative_perplexity,
                       generator_output_entropy, gradient_moment, kl, sample_entropy)
-from .nets import Denoiser, Generator, ModelError, model_from_checkpoint, save_checkpoint
+from .nets import Denoiser, ModelError, model_from_checkpoint, save_checkpoint
 from .numerics import NumericsError, RngState, softmax
 from .process import ancestral_sample
 from .teacher import train_teacher
@@ -63,18 +63,27 @@ def _teacher_chain_kl(model, dataset, process, steps: int, dcfg) -> float:
     return kl(_exact_q(dataset), p)
 
 
-def _student_chain_kl(gen: Generator, dataset, process, k: int, draws: int, seed: int) -> float:
-    rng = RngState(seed).child(901)
+def _student_chain_kl(gen: Denoiser, dataset, process, k: int, draws: int, seed: int) -> float:
+    noise = None
     if gen.config.n_noise > 0:
-        noise = rng.normal((draws, gen.config.n_noise))
-
-        def predict(z, t, eps):
-            return gen.probs(z, t, noise=eps)
-
-        p = exact_chain_distribution(predict, process, k, dataset.seq_len, noise_draws=noise)
-    else:
-        p = exact_chain_distribution(gen.probs, process, k, dataset.seq_len)
+        noise = RngState(seed).child(901).normal((draws, gen.config.n_noise))
+    p = exact_chain_distribution(gen.probs, process, k, dataset.seq_len, noise_draws=noise)
     return kl(_exact_q(dataset), p)
+
+
+def _chain_kl(model: Denoiser, dataset, process, steps: int, dcfg, seed: int) -> float:
+    """Exact KL of the model's `steps`-step chain: a generator's, marginalized
+    over its input noise, or a teacher's after logit surgery."""
+    if model.config.n_noise > 0:
+        return _student_chain_kl(model, dataset, process, steps, dcfg.noise_marginal_draws, seed)
+    return _teacher_chain_kl(model, dataset, process, steps, dcfg)
+
+
+def _default_steps(model: Denoiser, cfg: ExperimentConfig, steps: int | None) -> int:
+    """Sampling steps: as given, else the generator's k or the teacher's [eval] steps."""
+    if steps is not None:
+        return steps
+    return cfg.get("distill", "k") if model.config.n_noise > 0 else cfg.get("eval", "steps")
 
 
 def cmd_train_teacher(args) -> int:
@@ -117,13 +126,16 @@ def cmd_distill(args) -> int:
     dataset = cfg.dataset()
     process = cfg.process()
     teacher, _ = _load_compatible(args.teacher, cfg)
-    if not isinstance(teacher, Denoiser):
+    if teacher.config.n_noise != 0:
         raise ArtifactError(f"{args.teacher} is not a teacher checkpoint")
     dcfg = cfg.distill_config()
     distiller = Distiller(teacher, dataset, process, dcfg, RngState(seed).child(2),
                           n_noise=cfg.get("model", "n_noise"))
     if args.resume:
-        distiller.load_state_file(args.resume)
+        try:
+            distiller.load_state_file(args.resume)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ArtifactError(f"cannot resume from {args.resume}: {exc}")
 
     def eval_fn(d: Distiller) -> float:
         if not dataset.enumerable:
@@ -162,17 +174,19 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _model_sampler(model, cfg: ExperimentConfig, process, steps: int, seed: int):
+def _model_sampler(model: Denoiser, cfg: ExperimentConfig, process, steps: int):
+    """sampler(n, rng): `steps`-step ancestral samples, with fresh input noise
+    per step for a generator, after logit surgery for a teacher."""
     dcfg = cfg.distill_config()
-    if isinstance(model, Generator) and model.config.n_noise > 0:
-        def sampler(n, rng):
-            return student_sample(model, process, steps, rng, n)
-    else:
+    n_noise = model.config.n_noise
+
+    def sampler(n, rng):
         def predict(z, t):
+            if n_noise > 0:
+                return model.probs(z, t, noise=rng.normal((len(z), n_noise)))
             return softmax(teacher_logits(model, z, t, dcfg.tau, dcfg.top_p, dcfg.delta))
 
-        def sampler(n, rng):
-            return ancestral_sample(predict, process, steps, rng, n, model.config.seq_len)
+        return ancestral_sample(predict, process, steps, rng, n, model.config.seq_len)
     return sampler
 
 
@@ -187,10 +201,8 @@ def cmd_eval(args) -> int:
     dataset = cfg.dataset()
     process = cfg.process()
     model, _ = _load_compatible(args.checkpoint, cfg)
-    dcfg = cfg.distill_config()
-    is_gen = isinstance(model, Generator) and model.config.n_noise > 0
-    steps = args.steps if args.steps is not None else (dcfg.k if is_gen else cfg.get("eval", "steps"))
-    sampler = _model_sampler(model, cfg, process, steps, seed)
+    steps = _default_steps(model, cfg, args.steps)
+    sampler = _model_sampler(model, cfg, process, steps)
     rng = RngState(seed).child(3)
     n_samples = cfg.get("eval", "n_samples")
 
@@ -203,11 +215,7 @@ def cmd_eval(args) -> int:
     for name in metrics:
         rec = {"metric": name, "config_hash": chash, "seed": seed, "steps": steps}
         if name == "exact_kl":
-            if is_gen:
-                rec["value"] = _student_chain_kl(model, dataset, process, steps,
-                                                 dcfg.noise_marginal_draws, seed)
-            else:
-                rec["value"] = _teacher_chain_kl(model, dataset, process, steps, dcfg)
+            rec["value"] = _chain_kl(model, dataset, process, steps, cfg.distill_config(), seed)
         elif name == "gm":
             res = gradient_moment(ref, sampler, dataset.sample, cfg.get("eval", "gm_batch"),
                                   cfg.get("eval", "gm_pairs"), rng.child(1))
@@ -239,10 +247,7 @@ def cmd_sample(args) -> int:
     dataset = cfg.dataset()
     process = cfg.process()
     model, _ = _load_compatible(args.checkpoint, cfg)
-    dcfg = cfg.distill_config()
-    is_gen = isinstance(model, Generator) and model.config.n_noise > 0
-    steps = args.steps if args.steps is not None else (dcfg.k if is_gen else cfg.get("eval", "steps"))
-    sampler = _model_sampler(model, cfg, process, steps, seed)
+    sampler = _model_sampler(model, cfg, process, _default_steps(model, cfg, args.steps))
     samples = sampler(args.n, RngState(seed).child(4))
     rows = [{f"pos{d}": int(tok) for d, tok in enumerate(row)} for row in samples]
     _write_csv(os.path.join(out, "samples.csv"),
@@ -273,16 +278,11 @@ def cmd_sweep(args) -> int:
         row = {"axis": args.axis, "value": raw}
         if args.checkpoint:
             model, _ = _load_compatible(args.checkpoint, point)
-            is_gen = isinstance(model, Generator) and model.config.n_noise > 0
-            steps = dcfg.k if is_gen else point.get("eval", "steps")
-            if is_gen:
-                row["exact_kl"] = _student_chain_kl(model, dataset, process, steps,
-                                                    dcfg.noise_marginal_draws, seed)
-            else:
-                row["exact_kl"] = _teacher_chain_kl(model, dataset, process, steps, dcfg)
+            steps = _default_steps(model, point, None)
+            row["exact_kl"] = _chain_kl(model, dataset, process, steps, dcfg, seed)
             ref = ReferenceModel(dataset.seq_len, dataset.vocab)
             ref.fit_exact(_exact_q(dataset))
-            sampler = _model_sampler(model, point, process, steps, seed)
+            sampler = _model_sampler(model, point, process, steps)
             res = gradient_moment(ref, sampler, dataset.sample, point.get("eval", "gm_batch"),
                                   point.get("eval", "gm_pairs"), RngState(seed).child(5))
             row["gm"] = res.estimate

@@ -4,7 +4,9 @@ content-hashed into every artifact."""
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass, field
 
 from .data import SyntheticDataset, make_dataset
@@ -21,6 +23,13 @@ class ConfigError(ValueError):
 # section -> key -> (type, default); REQUIRED means no default
 REQUIRED = object()
 
+
+def _section(cls) -> dict[str, tuple]:
+    """The schema section of a config dataclass: its fields, types and defaults."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
 SCHEMA: dict[str, dict[str, tuple]] = {
     "dataset": {
         "kind": (str, REQUIRED),
@@ -32,6 +41,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "kind": (str, REQUIRED),
         "schedule": (str, "linear"),
     },
+    # spelled out: n_noise here is the generator's noise width, not the
+    # teacher default of 0 in ModelConfig
     "model": {
         "emb": (int, 16),
         "hidden": (int, 32),
@@ -39,32 +50,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "time_width": (int, 8),
         "n_noise": (int, 8),
     },
-    "teacher": {
-        "steps": (int, 3000),
-        "batch": (int, 64),
-        "lr": (float, 3e-3),
-        "weighting": (str, "unit"),
-        "eval_every": (int, 500),
-        "eval_steps": (int, 16),
-    },
-    "distill": {
-        "k": (int, 1),
-        "tau": (float, 1.0),
-        "top_p": (float, 1.0),
-        "delta": (float, 2.0),
-        "soft_targets": (bool, False),
-        "loss_variant": (str, "cross_entropy"),
-        "weighting": (str, "unit"),
-        "steps": (int, 8000),
-        "batch": (int, 64),
-        "gen_lr": (float, 1e-3),
-        "aux_lr": (float, 2e-3),
-        "ds": (float, 1.0 / 64.0),
-        "aux_per_gen": (int, 1),
-        "eval_every": (int, 1000),
-        "noise_marginal_draws": (int, 64),
-        "naive_topp_mask": (bool, False),
-    },
+    "teacher": _section(TeacherTrainConfig),
+    "distill": _section(DistillConfig),
     "eval": {
         "metrics": (str, "exact_kl,sample_entropy"),
         "steps": (int, 16),
@@ -103,6 +90,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config field [{section}] {key}")
         typ, _ = SCHEMA[section][key]
         self.values[section][key] = _convert(section, key, str(raw), typ)
+        self.check()
+
+    def check(self) -> None:
+        """Build every object the values describe, so that a bad value is a ConfigError."""
+        try:
+            self.dataset()
+            self.process()
+            self.model_config()
+            self.teacher_config()
+            self.distill_config()
+        except ValueError as exc:
+            raise ConfigError(f"invalid config: {exc}") from None
 
     # -- factories ---------------------------------------------------------
     def dataset(self) -> SyntheticDataset:
@@ -125,21 +124,10 @@ class ExperimentConfig:
             n_noise=m["n_noise"] if n_noise is None else n_noise)
 
     def teacher_config(self) -> TeacherTrainConfig:
-        t = self.values["teacher"]
-        return TeacherTrainConfig(steps=t["steps"], batch=t["batch"], lr=t["lr"],
-                                  weighting=t["weighting"], eval_every=t["eval_every"],
-                                  eval_steps=t["eval_steps"])
+        return TeacherTrainConfig(**self.values["teacher"])
 
     def distill_config(self) -> DistillConfig:
-        d = self.values["distill"]
-        return DistillConfig(k=d["k"], tau=d["tau"], top_p=d["top_p"], delta=d["delta"],
-                             soft_targets=d["soft_targets"], loss_variant=d["loss_variant"],
-                             weighting=d["weighting"], steps=d["steps"], batch=d["batch"],
-                             gen_lr=d["gen_lr"], aux_lr=d["aux_lr"], ds=d["ds"],
-                             aux_per_gen=d["aux_per_gen"],
-                             naive_topp_mask=d["naive_topp_mask"],
-                             eval_every=d["eval_every"],
-                             noise_marginal_draws=d["noise_marginal_draws"])
+        return DistillConfig(**self.values["distill"])
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -163,6 +151,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 if default is REQUIRED:
                     raise ConfigError(f"missing required field [{section}] {key}")
                 cfg.values[section][key] = default
+    cfg.check()
     return cfg
 
 

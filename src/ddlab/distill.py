@@ -7,7 +7,6 @@ optional temperature scaling and a finite-shift nucleus cutoff before use.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +14,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward
 from .data import SyntheticDataset
-from .nets import Denoiser, Generator, init_from_teacher
+from .nets import Denoiser, init_from_teacher
 from .numerics import RngState, categorical_sample, log_softmax, one_hot, softmax
 from .process import DiffusionProcess, diffuse, posterior, posterior_sample
-from .teacher import cross_entropy_head, loss_weight
+from .teacher import cross_entropy_head, loss_weight, position_mask
 
 
 class DistillError(ValueError):
@@ -61,6 +60,8 @@ class DistillConfig:
             raise DistillError("delta must be >= 0")
         if self.loss_variant not in ("cross_entropy", "posterior_kl"):
             raise DistillError(f"unknown loss variant {self.loss_variant!r}")
+        if self.weighting not in ("unit", "mdlm"):
+            raise DistillError(f"unknown weighting {self.weighting!r}")
         if self.aux_per_gen < 1:
             raise DistillError("aux_per_gen must be >= 1")
 
@@ -105,18 +106,9 @@ def teacher_logits(teacher: Denoiser, z_s: np.ndarray, s: float, tau: float = 1.
     return np.where(keep, scaled, scaled + shift)
 
 
-def _position_mask(z_s: np.ndarray, process: DiffusionProcess) -> np.ndarray:
-    """Positions that carry matching signal: masked slots for masked processes.
-
-    At positions already revealed in z_s the teacher was never trained, so
-    its output there is noise; both distillation losses skip them.
-    """
-    if process.masked:
-        return (z_s == process.mask_id).astype(np.float64)
-    return np.ones(z_s.shape, dtype=np.float64)
-
-
-def _masked_mean(per_pos, weight: float, pos_mask: np.ndarray):
+def _masked_mean(per_pos, weight: float, pos_mask: np.ndarray | None):
+    if pos_mask is None:
+        pos_mask = np.ones(ad.value_of(per_pos).shape)
     denom = max(pos_mask.sum(), 1.0)
     return ad.div(ad.reduce_sum(ad.mul(per_pos, weight * pos_mask)), denom)
 
@@ -132,8 +124,6 @@ def generator_loss(gen_probs, teacher_logp: np.ndarray, aux_logp: np.ndarray,
     tv_, av_ = np.asarray(teacher_logp), np.asarray(aux_logp)
     if ad.value_of(gen_probs).shape != tv_.shape or tv_.shape != av_.shape:
         raise DistillError("shape mismatch in generator loss")
-    if pos_mask is None:
-        pos_mask = np.ones(tv_.shape[:-1])
     per_pos = ad.reduce_sum(ad.mul(gen_probs, av_ - tv_), axis=-1)
     return _masked_mean(per_pos, weight, pos_mask)
 
@@ -153,8 +143,6 @@ def auxiliary_loss(target, teacher_probs: np.ndarray, aux_logp,
     soft = target_arr.dtype.kind == "f"
     if soft and not process.masked:
         raise DistillError("soft auxiliary targets are only valid for masked diffusion")
-    if pos_mask is None:
-        pos_mask = np.ones(np.asarray(teacher_probs).shape[:-1])
     if soft:
         ce_target = ad.mul(ad.reduce_sum(ad.mul(aux_logp, target_arr), axis=-1), -1.0)
     else:
@@ -212,8 +200,6 @@ def generator_loss_posterior(gen_probs, teacher_probs: np.ndarray, aux_probs: np
     to s - ds at z_s before matching; the fixed point (aux = teacher) still
     gives an exactly zero loss.
     """
-    if pos_mask is None:
-        pos_mask = np.ones(z_s.shape, dtype=np.float64)
     post_eta, _ = _posterior_logs(gen_probs, z_s, s, ds, process)
     _, log_phi = _posterior_logs(np.asarray(aux_probs), z_s, s, ds, process)
     _, log_theta = _posterior_logs(np.asarray(teacher_probs), z_s, s, ds, process)
@@ -226,8 +212,6 @@ def auxiliary_loss_posterior(gen_probs: np.ndarray, teacher_probs: np.ndarray, a
                              process: DiffusionProcess, weight: float = 1.0,
                              pos_mask: np.ndarray | None = None):
     """CE(post(gen) | post(aux)) + CE(post(teacher) | post(aux))."""
-    if pos_mask is None:
-        pos_mask = np.ones(z_s.shape, dtype=np.float64)
     _, log_phi = _posterior_logs(aux_probs, z_s, s, ds, process)
     post_eta, _ = _posterior_logs(np.asarray(gen_probs), z_s, s, ds, process)
     post_theta, _ = _posterior_logs(np.asarray(teacher_probs), z_s, s, ds, process)
@@ -236,32 +220,13 @@ def auxiliary_loss_posterior(gen_probs: np.ndarray, teacher_probs: np.ndarray, a
     return _masked_mean(ad.add(ce1, ce2), weight, pos_mask)
 
 
-def student_sample(generator: Generator, process: DiffusionProcess, k: int,
-                   rng: RngState, batch: int) -> np.ndarray:
-    """k-step ancestral sampling with fresh input noise at every step."""
-    if k < 1:
-        raise DistillError("k must be >= 1")
-    D = generator.config.seq_len
-    if process.masked:
-        z = np.full((batch, D), process.mask_id, dtype=np.int64)
-    else:
-        z = rng.integers(0, process.vocab, size=(batch, D))
-    for i in range(k, 0, -1):
-        t, s = i / k, (i - 1) / k
-        noise = rng.normal((batch, generator.config.n_noise)) if generator.config.n_noise else None
-        probs = generator.probs(z, t, noise=noise)
-        x = categorical_sample(probs, rng)
-        z = posterior_sample(x, z, s, t, process, rng)
-    return z
-
-
 class Distiller:
     """Owns the three models and the alternating optimization state."""
 
     def __init__(self, teacher: Denoiser, dataset: SyntheticDataset,
                  process: DiffusionProcess, config: DistillConfig,
                  rng: RngState, n_noise: int = 0,
-                 generator: Generator | None = None, auxiliary: Denoiser | None = None):
+                 generator: Denoiser | None = None, auxiliary: Denoiser | None = None):
         if config.soft_targets and not process.masked:
             raise DistillError("soft targets require a masked process")
         self.teacher = teacher
@@ -278,61 +243,67 @@ class Distiller:
         self.step_index = 0
         self.log_rows: list[dict] = []
 
-    def _teacher_logp(self, z_s, s):
-        cfg = self.config
-        logits = teacher_logits(self.teacher, z_s, s, cfg.tau, cfg.top_p, cfg.delta,
-                                naive=cfg.naive_topp_mask)
-        return log_softmax(logits)
-
     def step(self) -> tuple[str, float]:
-        """One alternating update; even indices train the generator, odd the auxiliary."""
+        """One alternating update: the generator at every (1 + aux_per_gen)-th
+        index, the auxiliary model at the others.
+
+        Both phases draw z_s from the generator and score it with the teacher
+        and the auxiliary model. Positions already revealed in z_s (masked
+        processes) carry no matching signal, since the teacher was never
+        trained there; both losses skip them.
+        """
         i = self.step_index
         cfg = self.config
+        gen_phase = i % (1 + cfg.aux_per_gen) == 0
+        model, opt, lr = ((self.generator, self.gen_opt, cfg.gen_lr) if gen_phase
+                          else (self.auxiliary, self.aux_opt, cfg.aux_lr))
+        cache = {}
+
+        def forward(net, z, time, noise=None):
+            # the trained model's forward carries gradient: it takes params and keeps `cache`
+            if net is not model:
+                return net.forward(z, time, noise=noise)
+            return net.forward(z, time, noise=noise, params=net.store.arrays(), cache=cache)
+
         s, t = sample_times(self.rng, cfg.k, size=cfg.batch)
         x_data = self.dataset.sample(cfg.batch, self.rng)
         z_t = diffuse(x_data, t, self.process, self.rng)
         n_noise = self.generator.config.n_noise
         eps = self.rng.normal((cfg.batch, n_noise)) if n_noise else None
         w = loss_weight(s, self.process, cfg.weighting)[:, None]
-        cache = {}
+        gen_logits = forward(self.generator, z_t, t, eps)
+        xhat = softmax(gen_logits)
+        x = categorical_sample(xhat, self.rng)
+        z_s = posterior_sample(x, z_t, s, t, self.process, self.rng)
+        pos_mask = position_mask(z_s, self.process)
+        teacher_logp = log_softmax(teacher_logits(self.teacher, z_s, s, cfg.tau, cfg.top_p,
+                                                  cfg.delta, naive=cfg.naive_topp_mask))
+        aux_logits = forward(self.auxiliary, z_s, s)
 
-        if i % (1 + cfg.aux_per_gen) == 0:
-            phase, model, opt, lr = "gen", self.generator, self.gen_opt, cfg.gen_lr
-            logits = model.forward(z_t, t, noise=eps, params=model.store.arrays(), cache=cache)
-            xhat = ad.softmax(logits)
-            x = categorical_sample(xhat, self.rng)
-            z_s = posterior_sample(x, z_t, s, t, self.process, self.rng)
-            pos_mask = _position_mask(z_s, self.process)
-            teacher_logp = self._teacher_logp(z_s, s)
-            aux_logits = self.auxiliary.forward(z_s, s)
-            if cfg.loss_variant == "cross_entropy":
+        if cfg.loss_variant == "cross_entropy":
+            weight = _head_weights(w, pos_mask)
+            if gen_phase:
                 loss, dlogits = generator_loss_head(xhat, teacher_logp, log_softmax(aux_logits),
-                                                    _head_weights(w, pos_mask))
+                                                    weight)
             else:
-                loss, dlogits = self._tape_head(logits, i, lambda probs: generator_loss_posterior(
-                    probs, np.exp(teacher_logp), softmax(aux_logits),
-                    z_s, s, cfg.ds, self.process, w, pos_mask))
+                target = xhat if cfg.soft_targets else x
+                loss, dlogits = auxiliary_loss_head(target, np.exp(teacher_logp), aux_logits,
+                                                    self.process, weight)
         else:
-            phase, model, opt, lr = "aux", self.auxiliary, self.aux_opt, cfg.aux_lr
-            xhat = softmax(self.generator.forward(z_t, t, noise=eps))
-            x = categorical_sample(xhat, self.rng)
-            z_s = posterior_sample(x, z_t, s, t, self.process, self.rng)
-            pos_mask = _position_mask(z_s, self.process)
-            teacher_probs = np.exp(self._teacher_logp(z_s, s))
-            logits = model.forward(z_s, s, params=model.store.arrays(), cache=cache)
-            target = xhat if cfg.soft_targets else x
-            if cfg.loss_variant == "cross_entropy":
-                loss, dlogits = auxiliary_loss_head(target, teacher_probs, logits, self.process,
-                                                    _head_weights(w, pos_mask))
-            else:
-                loss, dlogits = self._tape_head(logits, i, lambda probs: auxiliary_loss_posterior(
-                    xhat, teacher_probs, probs, z_s, s, cfg.ds, self.process, w, pos_mask))
+            loss_fn = generator_loss_posterior if gen_phase else auxiliary_loss_posterior
+
+            def loss_of(probs):
+                gen_probs, aux_probs = (probs, softmax(aux_logits)) if gen_phase else (xhat, probs)
+                return loss_fn(gen_probs, np.exp(teacher_logp), aux_probs,
+                               z_s, s, cfg.ds, self.process, w, pos_mask)
+
+            loss, dlogits = self._tape_head(gen_logits if gen_phase else aux_logits, i, loss_of)
 
         self._check_loss(loss, i)
         model.backward(cache, dlogits)
         adam_step(model.store, opt, lr=lr)
         self.step_index += 1
-        return phase, loss
+        return ("gen" if gen_phase else "aux"), loss
 
     def _tape_head(self, logits, i, loss_of_probs):
         """A loss of softmax(logits) on the tape; returns (loss, d loss / d logits)."""
@@ -352,10 +323,11 @@ class Distiller:
     def run(self, steps: int, eval_fn=None) -> list[dict]:
         """Run `steps` alternating updates, recording a CSV-ready log."""
         cfg = self.config
+        end = self.step_index + steps
         for _ in range(steps):
             phase, loss = self.step()
             i = self.step_index - 1
-            if i % cfg.eval_every == 0 or i == steps - 1:
+            if i % cfg.eval_every == 0 or i == end - 1:
                 from .metrics import generator_output_entropy
 
                 ent = generator_output_entropy(self.generator, self.process, 64,
@@ -367,43 +339,40 @@ class Distiller:
                 self.log_rows.append(row)
         return self.log_rows
 
-    def state(self) -> dict:
-        return {
-            "step_index": self.step_index,
-            "gen_values": self.generator.store.values.copy(),
-            "aux_values": self.auxiliary.store.values.copy(),
-            "gen_m": self.gen_opt.m.copy(), "gen_v": self.gen_opt.v.copy(),
-            "gen_step": self.gen_opt.step,
-            "aux_m": self.aux_opt.m.copy(), "aux_v": self.aux_opt.v.copy(),
-            "aux_step": self.aux_opt.step,
-            "rng": self.rng.state(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.step_index = int(state["step_index"])
-        self.generator.store.values[:] = state["gen_values"]
-        self.auxiliary.store.values[:] = state["aux_values"]
-        self.gen_opt.m[:] = state["gen_m"]
-        self.gen_opt.v[:] = state["gen_v"]
-        self.gen_opt.step = int(state["gen_step"])
-        self.aux_opt.m[:] = state["aux_m"]
-        self.aux_opt.v[:] = state["aux_v"]
-        self.aux_opt.step = int(state["aux_step"])
-        self.rng = RngState.from_state(state["rng"])
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        return {"gen_values": self.generator.store.values,
+                "aux_values": self.auxiliary.store.values,
+                "gen_m": self.gen_opt.m, "gen_v": self.gen_opt.v,
+                "aux_m": self.aux_opt.m, "aux_v": self.aux_opt.v}
 
     def save_state(self, path) -> None:
-        st = self.state()
-        rng = st.pop("rng")
-        np.savez(path, **st, rng_seed=rng["seed"], rng_path=np.asarray(rng["path"], dtype=np.int64),
+        rng = self.rng.state()
+        np.savez(path, step_index=self.step_index, **self._state_arrays(),
+                 gen_step=self.gen_opt.step, aux_step=self.aux_opt.step,
+                 rng_seed=rng["seed"], rng_path=np.asarray(rng["path"], dtype=np.int64),
                  rng_counter=rng["counter"])
 
     def load_state_file(self, path) -> None:
+        """Restore a `save_state` file in place.
+
+        Raises OSError, ValueError, KeyError or TypeError for a file that is
+        not a state of these models, before changing anything.
+        """
         with np.load(path) as z:
-            state = {k: z[k] for k in ("step_index", "gen_values", "aux_values",
-                                       "gen_m", "gen_v", "gen_step", "aux_m", "aux_v", "aux_step")}
-            state["rng"] = {"seed": int(z["rng_seed"]), "path": z["rng_path"].tolist(),
-                            "counter": int(z["rng_counter"])}
-        self.load_state(state)
+            state = {k: z[k] for k in z.files}
+        targets = self._state_arrays()
+        for key, dest in targets.items():
+            if state[key].shape != dest.shape:
+                raise ValueError(f"state {key} has shape {state[key].shape}, "
+                                 f"the model needs {dest.shape}")
+        rng = RngState.from_state({"seed": state["rng_seed"], "path": state["rng_path"],
+                                   "counter": state["rng_counter"]})
+        for key, dest in targets.items():
+            dest[:] = state[key]
+        self.step_index = int(state["step_index"])
+        self.gen_opt.step = int(state["gen_step"])
+        self.aux_opt.step = int(state["aux_step"])
+        self.rng = rng
 
 
 def _max_abs_teacher_logit(distiller: Distiller) -> float:
@@ -415,12 +384,3 @@ def _max_abs_teacher_logit(distiller: Distiller) -> float:
                             cfg.delta, naive=cfg.naive_topp_mask)
     return float(np.max(np.abs(logits)))
 
-
-def write_distill_log(path, rows) -> None:
-    fields = ["step", "phase", "loss", "gen_output_entropy", "eval_kl"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.10g}" if isinstance(v, float) else v)
-                             for k, v in row.items()})

@@ -310,15 +310,6 @@ class ReferenceModel:
         self.logits = np.log(np.maximum(cond, 1e-12))
         self.fitted = True
 
-    def fit_counts(self, samples: np.ndarray, smoothing: float = 0.5) -> None:
-        samples = np.asarray(samples)
-        prev = self._prev(samples)
-        counts = np.full_like(self.logits, smoothing)
-        for d in range(self.seq_len):
-            np.add.at(counts[d], (prev[:, d], samples[:, d]), 1.0)
-        self.logits = np.log(counts / counts.sum(axis=2, keepdims=True))
-        self.fitted = True
-
     def log_likelihood(self, x: np.ndarray) -> np.ndarray:
         """Per-sequence log p(x), shape (batch,)."""
         x = np.asarray(x)
@@ -395,12 +386,9 @@ def generator_output_entropy(model, process: DiffusionProcess, n_probes: int,
         z = np.full((n_probes, D), process.mask_id, dtype=np.int64)
     else:
         z = rng.integers(0, process.vocab, size=(n_probes, D))
-    if getattr(model.config, "n_noise", 0) > 0:
-        eps = rng.normal((n_probes, model.config.n_noise))
-        probs = model.probs(z, 1.0, noise=eps)
-    else:
-        probs = model.probs(z, 1.0)
-    return float(np.mean(entropy(probs)))
+    n_noise = model.config.n_noise
+    eps = rng.normal((n_probes, n_noise)) if n_noise > 0 else None
+    return float(np.mean(entropy(model.probs(z, 1.0, noise=eps))))
 
 
 def generative_perplexity(ref: ReferenceModel, samples: np.ndarray) -> float:

@@ -1,22 +1,22 @@
 """Small residual networks over token sequences.
 
 A Denoiser maps (z_t, t) to per-position logits over the data vocabulary
-(MASK is input-only: it has an embedding row but no output slot). A
-Generator is a Denoiser plus a zero-initialized linear projection of a
-Gaussian noise input, added to the hidden state after the input embedding,
-so that at init it equals its teacher bit for bit.
+(MASK is input-only: it has an embedding row but no output slot). With
+n_noise > 0 (a generator) it adds a zero-initialized linear projection of a
+Gaussian noise input to the hidden state after the input embedding, so that
+at init it equals its teacher bit for bit.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore
-from .numerics import RngState, one_hot
+from .numerics import RngState, one_hot, softmax
 
 
 class ModelError(ValueError):
@@ -55,11 +55,11 @@ def time_features(t, width: int, batch: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
-def _init_params(config: ModelConfig, rng: RngState, with_noise_proj: bool) -> ParamStore:
+def _init_params(config: ModelConfig, rng: RngState) -> ParamStore:
     store = ParamStore()
     store.add("embed", rng.normal((config.vocab_in, config.emb)) / np.sqrt(config.emb))
     store.add("time_w", rng.normal((config.time_width, config.emb)) / np.sqrt(config.time_width))
-    if with_noise_proj:
+    if config.n_noise > 0:
         # zero init: the generator starts exactly at its teacher
         store.add("noise_w", np.zeros((config.n_noise, config.emb)))
     for b in range(config.depth):
@@ -210,13 +210,22 @@ def _fused_backward(config: ModelConfig, params, cache, dlogits, store: ParamSto
     np.matmul(one_hot(z.reshape(-1), config.vocab_in).T, dh, out=g["embed"])
 
 
-class _ResidualNet:
-    """The forward paths and the fused backward shared by Denoiser and Generator."""
+class Denoiser:
+    """Predicts per-position logits over clean tokens given a noised sequence.
 
-    config: ModelConfig
-    store: ParamStore
+    With `config.n_noise > 0` it also takes a Gaussian noise input through a
+    learned projection (a generator); a zero projection leaves its output
+    identical to the same weights without one.
+    """
 
-    def _run(self, z, t, noise, params, cache):
+    def __init__(self, config: ModelConfig, rng: RngState | None = None,
+                 store: ParamStore | None = None):
+        self.config = config
+        self.store = store if store is not None else _init_params(config, rng)
+
+    def forward(self, z, t, noise=None, params=None, cache=None):
+        """Logits (batch, D, K). `params` of Vars runs the tape (an `embed`
+        Var selects it); `cache` keeps the activations for `backward`."""
         params = self.store.arrays() if params is None else params
         if isinstance(params["embed"], ad.Var):
             return _tape_forward(self.config, params, z, t, noise)
@@ -234,6 +243,9 @@ class _ResidualNet:
                                         None if noise is None else noise[lo:hi])
         return out
 
+    def probs(self, z, t, noise=None) -> np.ndarray:
+        return softmax(self.forward(z, t, noise=noise))
+
     def backward(self, cache: dict, dlogits: np.ndarray) -> None:
         """Write d(loss)/d(params) into `store.grads`, given d(loss)/d(logits).
 
@@ -242,59 +254,22 @@ class _ResidualNet:
         _fused_backward(self.config, self.store.arrays(), cache, dlogits, self.store)
 
 
-class Denoiser(_ResidualNet):
-    """Predicts per-position logits over clean tokens given a noised sequence."""
-
-    def __init__(self, config: ModelConfig, rng: RngState | None = None,
-                 store: ParamStore | None = None):
-        if config.n_noise != 0:
-            raise ModelError("a plain denoiser takes no noise input")
-        self.config = config
-        self.store = store if store is not None else _init_params(config, rng, False)
-
-    def forward(self, z, t, params=None, cache=None):
-        """Logits (batch, D, K). `params` of Vars runs the tape (an `embed`
-        Var selects it); `cache` keeps the activations for `backward`."""
-        return self._run(z, t, None, params, cache)
-
-    def probs(self, z, t) -> np.ndarray:
-        return ad.softmax(self.forward(z, t))
+class Generator(Denoiser):
+    """Not a second model (a generator is a Denoiser with n_noise > 0) and never built:
+    the name stays because perfbench/tracer.py looks up `Generator.forward`."""
 
 
-class Generator(_ResidualNet):
-    """A Denoiser with a learned projection of Gaussian input noise.
-
-    With n_noise=0 it degenerates to a plain denoiser; with a zero noise
-    projection its output is identical to the underlying denoiser.
-    """
-
-    def __init__(self, config: ModelConfig, rng: RngState | None = None,
-                 store: ParamStore | None = None):
-        self.config = config
-        self.store = store if store is not None else _init_params(config, rng, config.n_noise > 0)
-
-    def forward(self, z, t, noise=None, params=None, cache=None):
-        if self.config.n_noise == 0 and noise is not None:
-            raise ModelError("generator configured with n_noise=0")
-        return self._run(z, t, noise, params, cache)
-
-    def probs(self, z, t, noise=None) -> np.ndarray:
-        return ad.softmax(self.forward(z, t, noise=noise))
-
-
-def init_from_teacher(teacher: Denoiser, n_noise: int) -> tuple["Generator", "Denoiser"]:
+def init_from_teacher(teacher: Denoiser, n_noise: int) -> tuple[Denoiser, Denoiser]:
     """Warm-start a generator and an auxiliary model from teacher weights.
 
     The generator gains a zero-initialized noise projection (so it starts at
     the teacher exactly); the auxiliary is a plain parameter copy.
     """
-    cfg = teacher.config
-    gen_cfg = ModelConfig(cfg.seq_len, cfg.vocab, cfg.masked, cfg.emb, cfg.hidden,
-                          cfg.depth, cfg.time_width, n_noise)
-    gen_store = _init_params(gen_cfg, RngState(0), n_noise > 0)
+    gen_cfg = replace(teacher.config, n_noise=n_noise)
+    gen_store = _init_params(gen_cfg, RngState(0))
     gen_store.copy_values_from(teacher.store)
-    aux = Denoiser(cfg, store=teacher.store.copy())
-    return Generator(gen_cfg, store=gen_store), aux
+    aux = Denoiser(teacher.config, store=teacher.store.copy())
+    return Denoiser(gen_cfg, store=gen_store), aux
 
 
 CHECKPOINT_MAGIC = "ddlab-checkpoint v1"
@@ -322,7 +297,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, np.ndarray, dict]:
     lines = blob[:sep].decode("utf-8").splitlines()
     if lines[0] != CHECKPOINT_MAGIC:
         raise ModelError(f"bad checkpoint magic: {lines[0]!r}")
-    fields, extra, n_params = {}, {}, None
+    raw, extra, n_params = {}, {}, None
     for line in lines[1:]:
         if not line or line == "---":
             continue
@@ -330,14 +305,12 @@ def load_checkpoint(path) -> tuple[ModelConfig, np.ndarray, dict]:
         if key == "params":
             n_params = int(val)
         elif key.startswith("config."):
-            fields[key[len("config."):]] = val
+            raw[key[len("config."):]] = val
         elif key.startswith("extra."):
             extra[key[len("extra."):]] = val
-    cfg = ModelConfig(
-        seq_len=int(fields["seq_len"]), vocab=int(fields["vocab"]),
-        masked=fields["masked"] == "True", emb=int(fields["emb"]),
-        hidden=int(fields["hidden"]), depth=int(fields["depth"]),
-        time_width=int(fields["time_width"]), n_noise=int(fields["n_noise"]))
+    # every field is an int but `masked`
+    cfg = ModelConfig(**{f.name: raw[f.name] == "True" if f.name == "masked" else int(raw[f.name])
+                         for f in fields(ModelConfig)})
     values = np.frombuffer(blob[sep:], dtype="<f8").astype(np.float64)
     if n_params is not None and values.size != n_params:
         raise ModelError(f"checkpoint declares {n_params} params, found {values.size}")
@@ -345,11 +318,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, np.ndarray, dict]:
 
 
 def model_from_checkpoint(path):
-    """Rebuild a Denoiser or Generator (by n_noise) from a checkpoint file."""
+    """Rebuild a Denoiser (with a noise input when n_noise > 0) from a checkpoint file."""
     cfg, values, extra = load_checkpoint(path)
-    store = _init_params(cfg, RngState(0), cfg.n_noise > 0)
+    store = _init_params(cfg, RngState(0))
     if store.values.size != values.size:
         raise ModelError("checkpoint parameter count does not match config")
     store.values[:] = values
-    model = Generator(cfg, store=store) if cfg.n_noise > 0 else Denoiser(cfg, store=store)
-    return model, extra
+    return Denoiser(cfg, store=store), extra

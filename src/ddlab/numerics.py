@@ -98,15 +98,6 @@ def categorical_sample(probs: np.ndarray, rng: RngState, row_tol: float = 1e-6) 
     return np.argmax(logp + g, axis=-1)
 
 
-def cross_entropy(target: np.ndarray, predicted_logprobs: np.ndarray) -> np.ndarray:
-    """Per-row -sum_c target_c * logprob_c. Accepts hard (one-hot) or soft targets."""
-    target = np.asarray(target, dtype=np.float64)
-    predicted_logprobs = np.asarray(predicted_logprobs, dtype=np.float64)
-    if target.shape != predicted_logprobs.shape:
-        raise NumericsError(f"shape mismatch {target.shape} vs {predicted_logprobs.shape}")
-    return -np.sum(target * predicted_logprobs, axis=-1)
-
-
 def one_hot(tokens: np.ndarray, num_classes: int) -> np.ndarray:
     return np.eye(num_classes)[np.asarray(tokens)]
 

@@ -27,21 +27,21 @@ class NoiseSchedule:
 
     kind: str = "linear"  # linear | cosine
 
+    def __post_init__(self):
+        if self.kind not in ("linear", "cosine"):
+            raise ProcessError(f"unknown schedule kind {self.kind!r}")
+
     def alpha(self, t):
         t = np.asarray(t, dtype=np.float64)
         if self.kind == "linear":
             return 1.0 - t
-        if self.kind == "cosine":
-            return np.cos(0.5 * np.pi * t) ** 2
-        raise ProcessError(f"unknown schedule kind {self.kind!r}")
+        return np.cos(0.5 * np.pi * t) ** 2
 
     def alpha_prime(self, t):
         t = np.asarray(t, dtype=np.float64)
         if self.kind == "linear":
             return -np.ones_like(t)
-        if self.kind == "cosine":
-            return -0.5 * np.pi * np.sin(np.pi * t)
-        raise ProcessError(f"unknown schedule kind {self.kind!r}")
+        return -0.5 * np.pi * np.sin(np.pi * t)
 
 
 @dataclass(frozen=True)
@@ -193,15 +193,6 @@ def posterior_sample(x, z_t, s, t, process: DiffusionProcess, rng: RngState) -> 
     from .numerics import categorical_sample
 
     return categorical_sample(probs, rng)
-
-
-@dataclass(frozen=True)
-class LogitMods:
-    """Sampler-side logit surgery: temperature, nucleus cutoff, finite shift."""
-
-    temperature: float = 1.0
-    top_p: float = 1.0
-    delta: float = 2.0
 
 
 def ancestral_sample(model_probs_fn, process: DiffusionProcess, steps: int,

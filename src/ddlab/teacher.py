@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -12,7 +11,7 @@ from . import autodiff as ad
 from .autodiff import AdamState, adam_step
 from .data import SyntheticDataset
 from .nets import Denoiser, ModelConfig
-from .numerics import NumericsError, RngState, one_hot
+from .numerics import NumericsError, RngState, log_softmax, one_hot
 from .process import DiffusionProcess, diffuse
 
 
@@ -25,6 +24,10 @@ class TeacherTrainConfig:
     eval_every: int = 500
     eval_steps: int = 16  # chain length used for the periodic exact-KL probe
 
+    def __post_init__(self):
+        if self.weighting not in ("unit", "mdlm"):
+            raise ValueError(f"unknown weighting {self.weighting!r}")
+
 
 def loss_weight(t: np.ndarray, process: DiffusionProcess, weighting: str) -> np.ndarray:
     if weighting == "unit":
@@ -35,20 +38,22 @@ def loss_weight(t: np.ndarray, process: DiffusionProcess, weighting: str) -> np.
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
+def position_mask(z: np.ndarray, process: DiffusionProcess) -> np.ndarray:
+    """Positions of a noised z that carry signal: the MASK slots of a masked
+    process (revealed positions carry none under absorbing noise), every
+    position of a uniform one."""
+    if process.masked:
+        return (z == process.mask_id).astype(np.float64)
+    return np.ones(z.shape, dtype=np.float64)
+
+
 def _noised_batch(batch: np.ndarray, process: DiffusionProcess, rng: RngState,
                   weighting: str):
-    """Draws per-example t ~ U(0,1) and z_t; returns (t, z_t, w(t) * positions, denom).
-
-    For masked processes the positions are the masked slots; unmasked
-    positions carry no signal under absorbing noise.
-    """
+    """Draws per-example t ~ U(0,1) and z_t; returns (t, z_t, w(t) * positions, denom)."""
     t = rng.uniform(size=batch.shape[0])
     z_t = diffuse(batch, t, process, rng)
     w = loss_weight(t, process, weighting)[:, None]
-    if process.masked:
-        pos = (z_t == process.mask_id).astype(np.float64)
-    else:
-        pos = np.ones_like(batch, dtype=np.float64)
+    pos = position_mask(z_t, process)
     return t, z_t, w * pos, max(pos.sum(), 1.0)
 
 
@@ -75,7 +80,7 @@ def cross_entropy_head(logits: np.ndarray, target: np.ndarray, weight: np.ndarra
     rows) and `weight` one factor per row; d/d(logits) is, in closed form,
     weight * (softmax * sum(target) - target).
     """
-    logp = ad.log_softmax(logits)
+    logp = log_softmax(logits)
     loss = -float(np.sum(weight * np.sum(target * logp, axis=-1)))
     dlogits = weight[..., None] * (np.exp(logp) * np.sum(target, axis=-1, keepdims=True) - target)
     return loss, dlogits
@@ -96,7 +101,7 @@ def teacher_step(model: Denoiser, batch: np.ndarray, process: DiffusionProcess,
 
 def train_teacher(dataset: SyntheticDataset, process: DiffusionProcess,
                   model_config: ModelConfig, train_config: TeacherTrainConfig,
-                  rng: RngState, log_path=None, record_wallclock: bool = True):
+                  rng: RngState, record_wallclock: bool = True):
     """Returns (trained Denoiser, log rows). Log: step, loss, eval_kl, wallclock_ms."""
     init_rng, step_rng = rng.split(2)
     model = Denoiser(model_config, init_rng)
@@ -114,8 +119,6 @@ def train_teacher(dataset: SyntheticDataset, process: DiffusionProcess,
             ms = (time.monotonic() - t0) * 1000.0 if record_wallclock else 0.0
             rows.append({"step": step, "loss": loss_val, "eval_kl": eval_kl,
                          "wallclock_ms": round(ms, 3)})
-    if log_path is not None:
-        write_training_log(log_path, rows)
     return model, rows
 
 
@@ -129,14 +132,3 @@ def _eval_kl(model: Denoiser, dataset: SyntheticDataset, process: DiffusionProce
     p = exact_chain_distribution(model.probs, process, steps, dataset.seq_len)
     return kl(q, p)
 
-
-def write_training_log(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["step", "loss", "eval_kl", "wallclock_ms"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
-
-
-def _fmt(v):
-    return f"{v:.10g}" if isinstance(v, float) else v

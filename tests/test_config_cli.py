@@ -236,3 +236,83 @@ def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
                  "--seed", "7", "--resume", os.path.join(out, "distill_state.npz")]) == 0
     assert len(calls) == 3 + 3
     assert open(os.path.join(resumed, "student_kl_vs_k.csv"), "rb").read() == table
+
+
+@pytest.mark.parametrize("old, new", [
+    ("kind = masked", "kind = maskd"),
+    ("kind = masked", "kind = masked\nschedule = cosin"),
+    ("k = 1", "k = 1\ntau = 2.0"),
+    ("n_noise = 4", "n_noise = 4\ntime_width = 3"),
+    ("eval_steps = 4", "eval_steps = 4\nweighting = foo"),
+    ("k = 1", "k = 1\nweighting = foo"),
+])
+def test_cli_bad_value_is_config_error(tmp_path, old, new):
+    # every value is checked at parse time, before any training
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BASE_CONFIG.replace(old, new, 1))
+    out = tmp_path / "out"
+    assert main(["train-teacher", "--config", str(bad), "--out", str(out)]) == 2
+    assert not (out / "teacher.ckpt").exists()
+
+
+def test_cli_sweep_bad_value_is_config_error(config_path, tmp_path):
+    assert main(["sweep", "--config", config_path, "--axis", "distill.tau",
+                 "--values", "1.0,2.0", "--out", str(tmp_path)]) == 2
+
+
+def _train_and_distill(config_path, out, seed):
+    assert main(["train-teacher", "--config", config_path, "--out", out,
+                 "--seed", str(seed)]) == 0
+    assert main(["distill", "--config", config_path, "--teacher",
+                 os.path.join(out, "teacher.ckpt"), "--out", out, "--seed", str(seed)]) == 0
+
+
+def test_cli_generator_as_teacher_is_artifact_error(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    _train_and_distill(config_path, out, 2)
+    code = main(["distill", "--config", config_path, "--teacher",
+                 os.path.join(out, "generator.ckpt"), "--out", out, "--seed", "2"])
+    assert code == 3
+
+
+def test_cli_bad_resume_is_artifact_error(config_path, tmp_path):
+    # a resume file that is not a state of these models
+    out = str(tmp_path / "out")
+    _train_and_distill(config_path, out, 2)
+    garbage = tmp_path / "garbage.npz"
+    garbage.write_text("not a state file\n")
+    npy = tmp_path / "plain.npy"
+    np.save(npy, np.zeros(3))
+    with np.load(os.path.join(out, "distill_state.npz")) as z:
+        state = {k: z[k] for k in z.files}
+    state["gen_m"] = state["gen_m"][:-1]
+    truncated = tmp_path / "truncated.npz"
+    np.savez(truncated, **state)
+    for bad in (garbage, npy, truncated, tmp_path / "missing.npz"):
+        code = main(["distill", "--config", config_path, "--teacher",
+                     os.path.join(out, "teacher.ckpt"), "--out", out, "--seed", "2",
+                     "--resume", str(bad)])
+        assert code == 3, bad
+
+
+def test_cli_resumed_run_logs_final_row(tmp_path):
+    # 3 steps, then resume to 6: the last log row is the full 6-step run's row for step 5
+    def config(steps):
+        path = tmp_path / f"steps{steps}.ini"
+        path.write_text(BASE_CONFIG.replace("steps = 60", f"steps = {steps}"))
+        return str(path)
+
+    out = str(tmp_path / "out")
+    assert main(["train-teacher", "--config", config(6), "--out", out, "--seed", "4"]) == 0
+    teacher = os.path.join(out, "teacher.ckpt")
+    full, part, resumed = (str(tmp_path / name) for name in ("full", "part", "resumed"))
+    assert main(["distill", "--config", config(6), "--teacher", teacher,
+                 "--out", full, "--seed", "4"]) == 0
+    assert main(["distill", "--config", config(3), "--teacher", teacher,
+                 "--out", part, "--seed", "4"]) == 0
+    assert main(["distill", "--config", config(6), "--teacher", teacher, "--out", resumed,
+                 "--seed", "4", "--resume", os.path.join(part, "distill_state.npz")]) == 0
+    full_rows = open(os.path.join(full, "distill_log.csv")).read().splitlines()
+    resumed_rows = open(os.path.join(resumed, "distill_log.csv")).read().splitlines()
+    assert full_rows[-1].startswith("5,")
+    assert resumed_rows[2:] == [full_rows[-1]]

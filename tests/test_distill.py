@@ -10,10 +10,10 @@ from ddlab.data import make_dataset
 from ddlab.distill import (DistillConfig, DistillError, Distiller,
                            auxiliary_loss, auxiliary_loss_posterior,
                            generator_loss, generator_loss_posterior,
-                           sample_times, student_sample, teacher_logits)
+                           sample_times, teacher_logits)
 from ddlab.nets import Denoiser, ModelConfig, init_from_teacher
 from ddlab.numerics import RngState, log_softmax, softmax
-from ddlab.process import DiffusionProcess, NoiseSchedule
+from ddlab.process import DiffusionProcess, NoiseSchedule, ProcessError, ancestral_sample
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 2, NoiseSchedule("linear"))
@@ -285,12 +285,20 @@ def test_fixed_point_is_stable():
 
 
 def test_student_sample_shapes_and_range():
+    # the k-step student sampler: ancestral sampling with fresh generator noise per step
     dist = _make_distiller(n_noise=4)
-    out = student_sample(dist.generator, MASKED, 2, RngState(24), 128)
+    gen = dist.generator
+
+    def student_sample(k, rng, batch):
+        def predict(z, t):
+            return gen.probs(z, t, noise=rng.normal((len(z), 4)))
+        return ancestral_sample(predict, MASKED, k, rng, batch, 2)
+
+    out = student_sample(2, RngState(24), 128)
     assert out.shape == (128, 2)
     assert np.all((out >= 0) & (out < 2))
-    with pytest.raises(DistillError):
-        student_sample(dist.generator, MASKED, 0, RngState(24), 8)
+    with pytest.raises(ProcessError):
+        student_sample(0, RngState(24), 8)
 
 
 def test_distiller_state_round_trip(tmp_path):

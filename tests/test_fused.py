@@ -9,7 +9,7 @@ from ddlab.autodiff import ParamStore, finite_diff_check
 from ddlab.data import make_dataset
 from ddlab.distill import (_head_weights, auxiliary_loss, auxiliary_loss_head,
                            generator_loss, generator_loss_head)
-from ddlab.nets import Denoiser, Generator, ModelConfig
+from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState, log_softmax, one_hot, softmax
 from ddlab.process import DiffusionProcess, NoiseSchedule
 from ddlab.teacher import cross_entropy_head, teacher_loss, teacher_step
@@ -21,7 +21,7 @@ UNIFORM = DiffusionProcess("uniform", 3, NoiseSchedule("linear"))
 def _random_model(masked, n_noise, depth, seed=0):
     cfg = ModelConfig(seq_len=4, vocab=3, masked=masked, emb=8, hidden=12,
                       depth=depth, time_width=4, n_noise=n_noise)
-    model = Generator(cfg, RngState(seed))
+    model = Denoiser(cfg, RngState(seed))
     model.store.values[:] = RngState(seed + 1).normal(model.store.values.shape) * 0.5
     return model
 

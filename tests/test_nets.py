@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddlab.nets import (CHECKPOINT_MAGIC, Denoiser, Generator, ModelConfig,
+from ddlab.nets import (CHECKPOINT_MAGIC, Denoiser, ModelConfig,
                         ModelError, init_from_teacher, load_checkpoint,
                         model_from_checkpoint, save_checkpoint, time_features)
 from ddlab.numerics import RngState
@@ -63,7 +63,7 @@ def test_output_depends_on_time():
 
 def test_generator_noise_projection():
     gen_cfg = ModelConfig(seq_len=3, vocab=2, masked=True, n_noise=4)
-    gen = Generator(gen_cfg, RngState(3))
+    gen = Denoiser(gen_cfg, RngState(3))
     z = np.array([[2, 2, 2]])
     base = gen.probs(z, 1.0, noise=np.zeros((1, 4)))
     # zero-initialized projection: noise has no effect until trained
@@ -75,17 +75,12 @@ def test_generator_noise_projection():
 
 
 def test_noise_shape_enforced():
-    gen = Generator(ModelConfig(seq_len=3, vocab=2, masked=True, n_noise=4), RngState(0))
+    gen = Denoiser(ModelConfig(seq_len=3, vocab=2, masked=True, n_noise=4), RngState(0))
     with pytest.raises(ModelError):
         gen.forward(np.array([[0, 1, 2]]), 0.5, noise=np.zeros((1, 3)))
-    plain = Generator(ModelConfig(seq_len=3, vocab=2, masked=True), RngState(0))
+    plain = Denoiser(ModelConfig(seq_len=3, vocab=2, masked=True), RngState(0))
     with pytest.raises(ModelError):
         plain.forward(np.array([[0, 1, 2]]), 0.5, noise=np.zeros((1, 4)))
-
-
-def test_denoiser_rejects_noise_config():
-    with pytest.raises(ModelError):
-        Denoiser(ModelConfig(seq_len=2, vocab=2, masked=True, n_noise=4), RngState(0))
 
 
 def test_init_from_teacher_matches_bit_for_bit():
@@ -105,7 +100,7 @@ def test_init_from_teacher_matches_bit_for_bit():
 
 def test_checkpoint_round_trip(tmp_path):
     gen_cfg = ModelConfig(seq_len=3, vocab=2, masked=True, n_noise=4)
-    gen = Generator(gen_cfg, RngState(8))
+    gen = Denoiser(gen_cfg, RngState(8))
     gen.store.values[:] = RngState(9).normal(gen.store.values.shape)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, gen_cfg, gen.store, extra={"seed": 3, "role": "generator"})
@@ -115,7 +110,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert extra == {"seed": "3", "role": "generator"}
 
     model, _ = model_from_checkpoint(path)
-    assert isinstance(model, Generator)
+    assert isinstance(model, Denoiser)
     z = np.array([[2, 2, 2]])
     eps = RngState(10).normal((1, 4))
     np.testing.assert_array_equal(model.probs(z, 1.0, noise=eps),

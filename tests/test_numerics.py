@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ddlab.numerics import (NumericsError, RngState, categorical_sample,
-                            cross_entropy, entropy, log_softmax, one_hot,
+                            entropy, log_softmax, one_hot,
                             softmax)
 
 
@@ -72,19 +72,6 @@ def test_categorical_sample_rejects_bad_rows():
         categorical_sample(np.array([[0.9, 0.3]]), rng)
     with pytest.raises(NumericsError):
         categorical_sample(np.array([[1.2, -0.2]]), rng)
-
-
-def test_cross_entropy_hand_values():
-    # one-hot target against a uniform K=2 prediction
-    ce = cross_entropy(np.array([1.0, 0.0]), np.log([0.5, 0.5]))
-    np.testing.assert_allclose(ce, np.log(2.0), atol=1e-12)
-    ce = cross_entropy(np.array([0.5, 0.5]), np.log([0.8, 0.2]))
-    np.testing.assert_allclose(ce, -0.5 * (np.log(0.8) + np.log(0.2)), atol=1e-12)
-
-
-def test_cross_entropy_shape_mismatch():
-    with pytest.raises(NumericsError):
-        cross_entropy(np.zeros(3), np.zeros(4))
 
 
 def test_one_hot():

@@ -9,7 +9,7 @@ from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState
 from ddlab.process import DiffusionProcess, NoiseSchedule
 from ddlab.teacher import (TeacherTrainConfig, loss_weight, teacher_loss,
-                           train_teacher, write_training_log)
+                           train_teacher)
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 2, NoiseSchedule("linear"))
@@ -82,11 +82,3 @@ def test_train_teacher_is_deterministic():
     np.testing.assert_array_equal(m1.store.values, m2.store.values)
     assert r1 == r2
 
-
-def test_write_training_log(tmp_path):
-    path = tmp_path / "log.csv"
-    write_training_log(path, [{"step": 0, "loss": 0.5, "eval_kl": 0.1,
-                               "wallclock_ms": 0.0}])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,loss,eval_kl,wallclock_ms"
-    assert lines[1].startswith("0,0.5,0.1")
