@@ -1,7 +1,7 @@
 """Command line entry points: train-teacher, distill, sample, eval, sweep.
 
 Exit codes: 0 success, 2 config error, 3 artifact incompatibility,
-4 numerical divergence.
+4 numerical divergence (including a posterior underflow, `ProcessError`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .metrics import (ExactDistribution, ReferenceModel, exact_chain_distributio
                       generator_output_entropy, gradient_moment, kl, sample_entropy)
 from .nets import Denoiser, ModelError, model_from_checkpoint, save_checkpoint
 from .numerics import NumericsError, RngState, softmax
-from .process import ancestral_sample
+from .process import ProcessError, ancestral_sample
 from .teacher import train_teacher
 
 CSV_VERSION = "ddlab-csv v1"
@@ -82,6 +82,8 @@ def _chain_kl(model: Denoiser, dataset, process, steps: int, dcfg, seed: int) ->
 def _default_steps(model: Denoiser, cfg: ExperimentConfig, steps: int | None) -> int:
     """Sampling steps: as given, else the generator's k or the teacher's [eval] steps."""
     if steps is not None:
+        if steps < 1:
+            raise ConfigError(f"--steps must be >= 1, got {steps}")
         return steps
     return cfg.get("distill", "k") if model.config.n_noise > 0 else cfg.get("eval", "steps")
 
@@ -353,7 +355,7 @@ def main(argv=None) -> int:
     except ArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
-    except (DistillDivergence, NumericsError) as exc:
+    except (DistillDivergence, NumericsError, ProcessError) as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 4
 

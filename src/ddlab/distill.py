@@ -11,13 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import AdamState, adam_step, backward
+from .autodiff import AdamState, adam_step
 from .data import SyntheticDataset
 from .nets import Denoiser, init_from_teacher
 from .numerics import RngState, categorical_sample, log_softmax, one_hot, softmax
-from .process import DiffusionProcess, diffuse, posterior, posterior_sample
+from .process import DiffusionProcess, Posterior, diffuse, posterior_sample
 from .teacher import cross_entropy_head, loss_weight, position_mask
+
+# added inside the logs of posterior-transformed rows, which may hold exact zeros
+POSTERIOR_LOG_FLOOR = 1e-30
 
 
 class DistillError(ValueError):
@@ -62,8 +64,11 @@ class DistillConfig:
             raise DistillError(f"unknown loss variant {self.loss_variant!r}")
         if self.weighting not in ("unit", "mdlm"):
             raise DistillError(f"unknown weighting {self.weighting!r}")
-        if self.aux_per_gen < 1:
-            raise DistillError("aux_per_gen must be >= 1")
+        if min(self.aux_per_gen, self.batch, self.eval_every, self.noise_marginal_draws) < 1:
+            raise DistillError("aux_per_gen, batch, eval_every and noise_marginal_draws "
+                               "must be >= 1")
+        if not 0.0 < self.ds <= 1.0:
+            raise DistillError("ds must lie in (0, 1]")
 
 
 def sample_times(rng: RngState, k: int, size=None):
@@ -106,61 +111,20 @@ def teacher_logits(teacher: Denoiser, z_s: np.ndarray, s: float, tau: float = 1.
     return np.where(keep, scaled, scaled + shift)
 
 
-def _masked_mean(per_pos, weight: float, pos_mask: np.ndarray | None):
-    if pos_mask is None:
-        pos_mask = np.ones(ad.value_of(per_pos).shape)
-    denom = max(pos_mask.sum(), 1.0)
-    return ad.div(ad.reduce_sum(ad.mul(per_pos, weight * pos_mask)), denom)
-
-
-def generator_loss(gen_probs, teacher_logp: np.ndarray, aux_logp: np.ndarray,
-                   weight: float = 1.0, pos_mask: np.ndarray | None = None):
-    """-sum_c xhat_c (log teacher - log aux)_c, mean over batch and positions.
-
-    Only `gen_probs` may carry gradient; the log-probability arguments are
-    plain arrays (already stop-gradient by construction). The tape form of
-    `generator_loss_head`, which training runs.
-    """
-    tv_, av_ = np.asarray(teacher_logp), np.asarray(aux_logp)
-    if ad.value_of(gen_probs).shape != tv_.shape or tv_.shape != av_.shape:
-        raise DistillError("shape mismatch in generator loss")
-    per_pos = ad.reduce_sum(ad.mul(gen_probs, av_ - tv_), axis=-1)
-    return _masked_mean(per_pos, weight, pos_mask)
-
-
-def auxiliary_loss(target, teacher_probs: np.ndarray, aux_logp,
-                   process: DiffusionProcess, weight: float = 1.0,
-                   pos_mask: np.ndarray | None = None):
-    """CE(target | aux) + CE(teacher | aux); target is hard tokens or soft rows.
-
-    Soft targets are only valid for masked diffusion: a masked z_s slot gives
-    no information about x, so the generator's soft vector is as valid a
-    target as the hard sample. For uniform diffusion z_s is correlated with
-    the hard x that produced it, so only hard targets are unbiased. The tape
-    form of `auxiliary_loss_head`, which training runs.
-    """
-    target_arr = np.asarray(ad.value_of(target) if isinstance(target, ad.Var) else target)
-    soft = target_arr.dtype.kind == "f"
-    if soft and not process.masked:
-        raise DistillError("soft auxiliary targets are only valid for masked diffusion")
-    if soft:
-        ce_target = ad.mul(ad.reduce_sum(ad.mul(aux_logp, target_arr), axis=-1), -1.0)
-    else:
-        ce_target = ad.mul(ad.take_along_last(aux_logp, target_arr.astype(np.int64)), -1.0)
-    ce_teacher = ad.mul(ad.reduce_sum(ad.mul(aux_logp, np.asarray(teacher_probs)), axis=-1), -1.0)
-    return _masked_mean(ad.add(ce_target, ce_teacher), weight, pos_mask)
-
-
 def _head_weights(weight, pos_mask: np.ndarray) -> np.ndarray:
-    """Per-row factors of `_masked_mean`: weight * pos_mask / denom."""
+    """Per-row loss factors: weight * pos_mask over the number of kept rows,
+    so that each head returns a weighted mean over the positions that carry signal."""
     return weight * pos_mask / max(pos_mask.sum(), 1.0)
 
 
 def generator_loss_head(gen_probs: np.ndarray, teacher_logp: np.ndarray,
                         aux_logp: np.ndarray, weight: np.ndarray):
-    """`generator_loss` of gen_probs = softmax(logits), with d/d(logits) in closed form.
+    """sum(weight * -sum_c xhat_c (log teacher - log aux)_c) for xhat = softmax(logits),
+    and its gradient wrt the generator's logits, in closed form.
 
-    `weight` holds one factor per row (`_head_weights`). Returns (loss, dlogits).
+    The log-probability arguments are constants (stop-gradient by
+    construction). `weight` holds one factor per row (`_head_weights`).
+    Returns (loss, dlogits).
     """
     diff = aux_logp - teacher_logp
     per_pos = np.sum(gen_probs * diff, axis=-1)
@@ -170,10 +134,16 @@ def generator_loss_head(gen_probs: np.ndarray, teacher_logp: np.ndarray,
 
 def auxiliary_loss_head(target, teacher_probs: np.ndarray, aux_logits: np.ndarray,
                         process: DiffusionProcess, weight: np.ndarray):
-    """`auxiliary_loss` of log_softmax(aux_logits), with d/d(logits) in closed form.
+    """CE(target | aux) + CE(teacher | aux) for aux = softmax(aux_logits), weighted
+    per row, and its gradient wrt the auxiliary logits, in closed form.
 
-    Both cross-entropies share the aux log-probabilities, so they are one
-    cross-entropy against the sum of the two target rows.
+    `target` is hard tokens or soft rows. Soft targets are only valid for
+    masked diffusion: a masked z_s slot gives no information about x, so the
+    generator's soft vector is as valid a target as the hard sample. For
+    uniform diffusion z_s is correlated with the hard x that produced it, so
+    only hard targets are unbiased. Both cross-entropies share the aux
+    log-probabilities, so they are one cross-entropy against the sum of the
+    two target rows.
     """
     target = np.asarray(target)
     if target.dtype.kind == "f":
@@ -184,40 +154,35 @@ def auxiliary_loss_head(target, teacher_probs: np.ndarray, aux_logits: np.ndarra
     return cross_entropy_head(aux_logits, target + teacher_probs, weight)
 
 
-def _posterior_logs(probs, z_s, s, ds, process):
-    lo = np.maximum(0.0, np.asarray(s, dtype=np.float64) - ds)
-    post = posterior(probs, z_s, lo, s, process)
-    return post, ad.log(post, floor=1e-30)
+def posterior_kl_head(gen_probs: np.ndarray, teacher_probs: np.ndarray,
+                      aux_probs: np.ndarray, z_s: np.ndarray, s, ds: float,
+                      process: DiffusionProcess, weight: np.ndarray, gen_phase: bool):
+    """The posterior-KL losses of softmax rows, with d/d(logits) in closed form.
 
+    All three rows are pushed through the analytic posterior from s to s - ds
+    at z_s before matching (log-floored at `POSTERIOR_LOG_FLOOR`). The
+    generator phase returns
 
-def generator_loss_posterior(gen_probs, teacher_probs: np.ndarray, aux_probs: np.ndarray,
-                             z_s: np.ndarray, s: float, ds: float,
-                             process: DiffusionProcess, weight: float = 1.0,
-                             pos_mask: np.ndarray | None = None):
-    """Posterior-KL variant: losses on posterior-transformed vectors.
+        sum(weight * sum_c post(gen)_c (log post(aux) - log post(teacher))_c)
 
-    All three soft outputs are pushed through the analytic posterior from s
-    to s - ds at z_s before matching; the fixed point (aux = teacher) still
-    gives an exactly zero loss.
+    and the gradient wrt the generator's logits; the auxiliary phase returns
+    CE(post(gen) | post(aux)) + CE(post(teacher) | post(aux)), weighted the
+    same way, and the gradient wrt the auxiliary logits. The fixed point
+    (aux = teacher) gives an exactly zero generator loss.
     """
-    post_eta, _ = _posterior_logs(gen_probs, z_s, s, ds, process)
-    _, log_phi = _posterior_logs(np.asarray(aux_probs), z_s, s, ds, process)
-    _, log_theta = _posterior_logs(np.asarray(teacher_probs), z_s, s, ds, process)
-    per_pos = ad.reduce_sum(ad.mul(post_eta, log_phi - log_theta), axis=-1)
-    return _masked_mean(per_pos, weight, pos_mask)
-
-
-def auxiliary_loss_posterior(gen_probs: np.ndarray, teacher_probs: np.ndarray, aux_probs,
-                             z_s: np.ndarray, s: float, ds: float,
-                             process: DiffusionProcess, weight: float = 1.0,
-                             pos_mask: np.ndarray | None = None):
-    """CE(post(gen) | post(aux)) + CE(post(teacher) | post(aux))."""
-    _, log_phi = _posterior_logs(aux_probs, z_s, s, ds, process)
-    post_eta, _ = _posterior_logs(np.asarray(gen_probs), z_s, s, ds, process)
-    post_theta, _ = _posterior_logs(np.asarray(teacher_probs), z_s, s, ds, process)
-    ce1 = ad.mul(ad.reduce_sum(ad.mul(log_phi, np.asarray(post_eta)), axis=-1), -1.0)
-    ce2 = ad.mul(ad.reduce_sum(ad.mul(log_phi, np.asarray(post_theta)), axis=-1), -1.0)
-    return _masked_mean(ad.add(ce1, ce2), weight, pos_mask)
+    post = Posterior(z_s, np.maximum(0.0, np.asarray(s, dtype=np.float64) - ds), s, process)
+    q_gen, q_aux, q_teacher = post(gen_probs), post(aux_probs), post(teacher_probs)
+    log_aux = np.log(q_aux + POSTERIOR_LOG_FLOOR)
+    if gen_phase:
+        diff = log_aux - np.log(q_teacher + POSTERIOR_LOG_FLOOR)
+        loss = float(np.sum(weight * np.sum(q_gen * diff, axis=-1)))
+        probs, q, dq = gen_probs, q_gen, weight[..., None] * diff
+    else:
+        target = q_gen + q_teacher
+        loss = -float(np.sum(weight * np.sum(target * log_aux, axis=-1)))
+        probs, q, dq = aux_probs, q_aux, -weight[..., None] * target / (q_aux + POSTERIOR_LOG_FLOOR)
+    dprobs = post.vjp(probs, q, dq)
+    return loss, probs * (dprobs - np.sum(probs * dprobs, axis=-1, keepdims=True))
 
 
 class Distiller:
@@ -280,45 +245,28 @@ class Distiller:
                                                   cfg.delta, naive=cfg.naive_topp_mask))
         aux_logits = forward(self.auxiliary, z_s, s)
 
-        if cfg.loss_variant == "cross_entropy":
-            weight = _head_weights(w, pos_mask)
-            if gen_phase:
-                loss, dlogits = generator_loss_head(xhat, teacher_logp, log_softmax(aux_logits),
-                                                    weight)
-            else:
-                target = xhat if cfg.soft_targets else x
-                loss, dlogits = auxiliary_loss_head(target, np.exp(teacher_logp), aux_logits,
-                                                    self.process, weight)
+        weight = _head_weights(w, pos_mask)
+        if cfg.loss_variant == "posterior_kl":
+            loss, dlogits = posterior_kl_head(xhat, np.exp(teacher_logp), softmax(aux_logits),
+                                              z_s, s, cfg.ds, self.process, weight, gen_phase)
+        elif gen_phase:
+            loss, dlogits = generator_loss_head(xhat, teacher_logp, log_softmax(aux_logits),
+                                                weight)
         else:
-            loss_fn = generator_loss_posterior if gen_phase else auxiliary_loss_posterior
-
-            def loss_of(probs):
-                gen_probs, aux_probs = (probs, softmax(aux_logits)) if gen_phase else (xhat, probs)
-                return loss_fn(gen_probs, np.exp(teacher_logp), aux_probs,
-                               z_s, s, cfg.ds, self.process, w, pos_mask)
-
-            loss, dlogits = self._tape_head(gen_logits if gen_phase else aux_logits, i, loss_of)
-
+            target = xhat if cfg.soft_targets else x
+            loss, dlogits = auxiliary_loss_head(target, np.exp(teacher_logp), aux_logits,
+                                                self.process, weight)
         self._check_loss(loss, i)
         model.backward(cache, dlogits)
         adam_step(model.store, opt, lr=lr)
         self.step_index += 1
         return ("gen" if gen_phase else "aux"), loss
 
-    def _tape_head(self, logits, i, loss_of_probs):
-        """A loss of softmax(logits) on the tape; returns (loss, d loss / d logits)."""
-        leaf = ad.Var(logits)
-        loss = loss_of_probs(ad.softmax(leaf))
-        val = self._check_loss(float(ad.value_of(loss)), i)
-        backward(loss)
-        return val, leaf.grad
-
-    def _check_loss(self, val: float, i: int) -> float:
+    def _check_loss(self, val: float, i: int) -> None:
         if not np.isfinite(val) or abs(val) > 1e15:
             cfg = self.config
             max_logit = _max_abs_teacher_logit(self)
             raise DistillDivergence(i, cfg.tau, cfg.top_p, max_logit, val)
-        return val
 
     def run(self, steps: int, eval_fn=None) -> list[dict]:
         """Run `steps` alternating updates, recording a CSV-ready log."""

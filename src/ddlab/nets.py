@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import ParamStore
 from .numerics import RngState, one_hot, softmax
 
@@ -37,6 +36,8 @@ class ModelConfig:
     def __post_init__(self):
         if min(self.seq_len, self.vocab, self.emb, self.hidden, self.depth, self.time_width) < 1:
             raise ModelError("all widths and depth must be >= 1")
+        if self.n_noise < 0:
+            raise ModelError("n_noise must be >= 0")
         if self.time_width % 2:
             raise ModelError("time_width must be even")
 
@@ -112,35 +113,14 @@ def _check_inputs(config: ModelConfig, params, z, noise):
     return z, noise
 
 
-def _tape_forward(config: ModelConfig, params, z, t, noise=None):
-    """The forward on the autodiff tape; `params` maps names to Vars.
-
-    The gradient oracle for `_fused_forward`/`_fused_backward`, which run
-    the same ops in the same order.
-    """
-    z, noise = _check_inputs(config, params, z, noise)
-    h = ad.take_rows(params["embed"], z)  # (B, D, E)
-    tfeat = time_features(t, config.time_width, z.shape[0])
-    h = ad.add(h, ad.expand_dims(ad.matmul(tfeat, params["time_w"]), 1))
-    if noise is not None:
-        h = ad.add(h, ad.expand_dims(ad.matmul(noise, params["noise_w"]), 1))
-
-    for b in range(config.depth):
-        u = ad.tanh(ad.add(ad.matmul(h, params[f"blk{b}_ch_w1"]), params[f"blk{b}_ch_b1"]))
-        h = ad.add(h, ad.add(ad.matmul(u, params[f"blk{b}_ch_w2"]), params[f"blk{b}_ch_b2"]))
-        ht = ad.swap_last_axes(h)  # (B, E, D): mix across positions
-        p = ad.tanh(ad.add(ad.matmul(ht, params[f"blk{b}_pos_w"]), params[f"blk{b}_pos_b"]))
-        h = ad.add(h, ad.swap_last_axes(p))
-
-    return ad.add(ad.matmul(h, params["head_w"]), params["head_b"])
-
-
 def _fused_forward(config: ModelConfig, params, z, tfeat, noise, cache=None):
-    """Array-only forward: the ops of `_tape_forward`, in its order.
+    """The network's forward on plain arrays.
 
-    Matrix products run on (rows, width) arrays, as `autodiff.matmul` does,
-    so the logits equal the tape's bit for bit. With a `cache` dict it keeps
-    the activations `_fused_backward` reads.
+    Matrix products run as one 2-D product over (rows, width) arrays: numpy
+    rounds a stack of matrices differently from one product over the same
+    rows. The tape oracle of the tests runs the same ops in the same order
+    and gives the same logits bit for bit. With a `cache` dict it keeps the
+    activations `_fused_backward` reads.
     """
     B, D = z.shape
     E = config.emb
@@ -224,11 +204,9 @@ class Denoiser:
         self.store = store if store is not None else _init_params(config, rng)
 
     def forward(self, z, t, noise=None, params=None, cache=None):
-        """Logits (batch, D, K). `params` of Vars runs the tape (an `embed`
-        Var selects it); `cache` keeps the activations for `backward`."""
+        """Logits (batch, D, K). `params` maps names to weight arrays (the
+        store's by default); `cache` keeps the activations for `backward`."""
         params = self.store.arrays() if params is None else params
-        if isinstance(params["embed"], ad.Var):
-            return _tape_forward(self.config, params, z, t, noise)
         z, noise = _check_inputs(self.config, params, z, noise)
         tfeat = time_features(t, self.config.time_width, z.shape[0])
         rows = _block_rows(self.config)

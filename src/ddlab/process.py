@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .numerics import RngState, one_hot
 
 
@@ -83,6 +82,11 @@ class DiffusionProcess:
             raise ProcessError("data tokens out of range (MASK is input-only)")
 
 
+# a posterior denominator below this means the forward process could not
+# have produced z_t from x: the (x, z_t) pair is inconsistent
+DENOM_FLOOR = 1e-30
+
+
 def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t > 1.0):
@@ -109,90 +113,104 @@ def diffuse(x: np.ndarray, t, process: DiffusionProcess, rng: RngState) -> np.nd
     return np.where(keep, x, noise)
 
 
-def _soft_x(x, process: DiffusionProcess):
+def _soft_x(x, process: DiffusionProcess) -> np.ndarray:
     """Lift x to a distribution over the effective vocabulary.
 
     Hard tokens become one-hot rows; soft rows over the data vocabulary get a
-    zero MASK column appended for masked processes. Returns Var-compatible
-    output when x is a Var.
+    zero MASK column appended for masked processes.
     """
-    if isinstance(x, ad.Var) or np.asarray(x).dtype.kind == "f":
-        width = ad.value_of(x).shape[-1]
-        if width == process.vocab_eff:
-            return x
-        if width != process.vocab:
-            raise ProcessError(f"soft x has width {width}, expected {process.vocab}")
-        if not process.masked:
-            return x
-        if isinstance(x, ad.Var):
-            pad_shape = x.value.shape[:-1] + (1,)
-            padded = np.concatenate([x.value, np.zeros(pad_shape)], axis=-1)
-            out = ad.Var(padded, ((x, lambda g: g[..., :-1]),))
-            return out
-        return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-    return one_hot(np.asarray(x), process.vocab_eff)
+    x = np.asarray(x)
+    if x.dtype.kind != "f":
+        return one_hot(x, process.vocab_eff)
+    width = x.shape[-1]
+    if width == process.vocab_eff:
+        return x
+    if width != process.vocab:
+        raise ProcessError(f"soft x has width {width}, expected {process.vocab}")
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
 
 
-def posterior(x, z_t: np.ndarray, s, t, process: DiffusionProcess, denom_floor: float = 1e-30):
-    """q(z_s | z_t, x) per position.
+class Posterior:
+    """q(z_s | z_t, x) at one (z_t, s, t), as a map of x.
+
+    Per position, q_c = bracket1_c (alpha_s x_c + (1 - alpha_s) pi_c) / denom
+    with denom = alpha_t x_{z_t} + (1 - alpha_t) pi_{z_t}: linear in x above
+    and below, so its Jacobian has a closed form (`vjp`). The x-free parts
+    are built once here and shared by every x the map is applied to.
 
     `x` may be hard tokens, or soft rows over the data vocabulary (the
-    x-parameterized reverse step); soft rows are plugged into the analytic
-    posterior directly. Differentiable in soft x (Var input -> Var output).
-    `s` and `t` may be scalars or per-example arrays of shape (batch,).
+    x-parameterized reverse step). A position a masked z_t has already
+    revealed stays put whatever x says (carry-over): its row is the one-hot
+    of z_t and its gradient is zero, where the raw formula is 0/0 for an x
+    that puts no mass on the revealed token. `s` and `t` may be scalars or
+    per-example arrays of shape (batch,).
     """
-    s = _check_time(s)
-    t = _check_time(t)
-    if np.any(s > t):
-        raise ProcessError(f"posterior needs s <= t, got s={s} t={t}")
-    z_t = np.asarray(z_t)
-    sched = process.schedule
-    alpha_s = sched.alpha(s)
-    alpha_t = sched.alpha(t)
-    a_ts = np.where(alpha_s > 0, alpha_t / np.maximum(alpha_s, 1e-300), 1.0)
-    if alpha_s.ndim == 1:
-        # per-example times: align with (B, D) and (B, D, K_eff) operands
-        alpha_s2, alpha_t2 = alpha_s[:, None], alpha_t[:, None]
-        alpha_s3, alpha_t3, a_ts3 = alpha_s[:, None, None], alpha_t[:, None, None], a_ts[:, None, None]
-    else:
-        alpha_s2 = alpha_s3 = float(alpha_s)
-        alpha_t2 = alpha_t3 = float(alpha_t)
-        a_ts3 = float(a_ts)
 
-    pi = process.pi
-    xs = _soft_x(x, process)  # (B, D, K_eff), possibly a Var
-    zt_onehot = one_hot(z_t, process.vocab_eff)
-    pi_zt = pi[z_t][..., None]  # pi^T z_t, shape (B, D, 1)
+    def __init__(self, z_t: np.ndarray, s, t, process: DiffusionProcess):
+        s = _check_time(s)
+        t = _check_time(t)
+        if np.any(s > t):
+            raise ProcessError(f"posterior needs s <= t, got s={s} t={t}")
+        self.process = process
+        self.z_t = z_t = np.asarray(z_t)
+        sched = process.schedule
+        alpha_s = sched.alpha(s)
+        alpha_t = sched.alpha(t)
+        a_ts = np.where(alpha_s > 0, alpha_t / np.maximum(alpha_s, 1e-300), 1.0)
+        if alpha_s.ndim == 1:
+            # per-example times: align with (B, D) and (B, D, K_eff) operands
+            self.alpha_t2 = alpha_t[:, None]
+            self.alpha_s3, a_ts3 = alpha_s[:, None, None], a_ts[:, None, None]
+        else:
+            self.alpha_t2 = float(alpha_t)
+            self.alpha_s3, a_ts3 = float(alpha_s), float(a_ts)
+        self.pi = process.pi
+        self.pi_zt = self.pi[z_t]  # pi^T z_t, shape (B, D)
+        self.zt_onehot = one_hot(z_t, process.vocab_eff)
+        self.bracket1 = a_ts3 * self.zt_onehot + (1.0 - a_ts3) * self.pi_zt[..., None]
+        self.carry = z_t != process.mask_id if process.masked else None
 
-    bracket1 = a_ts3 * zt_onehot + (1.0 - a_ts3) * pi_zt  # constant wrt x
-    bracket2 = ad.add(ad.mul(xs, alpha_s3), (1.0 - alpha_s3) * pi)
-    x_at_zt = ad.take_along_last(xs, z_t)  # (B, D)
-    denom = ad.add(ad.mul(x_at_zt, alpha_t2), (1.0 - alpha_t2) * pi[z_t])
-
-    if process.masked and not isinstance(x, ad.Var) and np.asarray(x).dtype.kind != "f":
-        # carry-over: an already-revealed position stays put regardless of x;
-        # the raw formula is 0/0 there when a hard x disagrees with z_t
-        unmasked = z_t != process.mask_id
-        dv = ad.value_of(denom)
-        if np.any(dv[~unmasked] < denom_floor):
+    def _denom(self, xs: np.ndarray) -> np.ndarray:
+        """The per-position denominator, 1 on carried positions; raises on underflow."""
+        x_at_zt = np.take_along_axis(xs, self.z_t[..., None], axis=-1)[..., 0]
+        denom = x_at_zt * self.alpha_t2 + (1.0 - self.alpha_t2) * self.pi_zt
+        live = denom if self.carry is None else denom[~self.carry]
+        if np.any(live < DENOM_FLOOR):
             raise ProcessError("posterior denominator underflow: inconsistent (x, z_t) pair")
-        safe = np.where(unmasked, 1.0, dv)
-        out = ad.value_of(ad.mul(bracket1, bracket2)) / safe[..., None]
-        out[unmasked] = zt_onehot[unmasked]
+        return denom if self.carry is None else np.where(self.carry, 1.0, denom)
+
+    def __call__(self, x) -> np.ndarray:
+        xs = _soft_x(x, self.process)  # (B, D, K_eff)
+        bracket2 = xs * self.alpha_s3 + (1.0 - self.alpha_s3) * self.pi
+        out = self.bracket1 * bracket2 / self._denom(xs)[..., None]
+        if self.carry is not None:
+            out[self.carry] = self.zt_onehot[self.carry]
         return out
 
-    dv = ad.value_of(denom)
-    if np.any(dv < denom_floor):
-        raise ProcessError("posterior denominator underflow: inconsistent (x, z_t) pair")
-    return ad.div(ad.mul(bracket1, bracket2), ad.expand_dims(denom, -1))
+    def vjp(self, x: np.ndarray, q: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """d sum(grad * q) / dx for soft rows x and q = self(x), shape of x.
+
+        dq_c/dx_j = (alpha_s bracket1_j [c = j] - alpha_t q_c [j = z_t]) / denom.
+        """
+        xs = _soft_x(x, self.process)
+        denom = self._denom(xs)[..., None]
+        gx = self.alpha_s3 * self.bracket1 * grad / denom
+        gx -= self.zt_onehot * (self.alpha_t2 * np.sum(grad * q, axis=-1))[..., None] / denom
+        if self.carry is not None:
+            gx[self.carry] = 0.0
+        return gx[..., :np.shape(x)[-1]]
+
+
+def posterior(x, z_t: np.ndarray, s, t, process: DiffusionProcess) -> np.ndarray:
+    """q(z_s | z_t, x) per position, for hard tokens or soft rows x (see `Posterior`)."""
+    return Posterior(z_t, s, t, process)(x)
 
 
 def posterior_sample(x, z_t, s, t, process: DiffusionProcess, rng: RngState) -> np.ndarray:
-    """Sample z_s ~ q(z_s | z_t, x). Always a hard (stop-gradient) sample."""
-    probs = ad.stop_gradient(posterior(x, z_t, s, t, process))
+    """Sample hard tokens z_s ~ q(z_s | z_t, x)."""
     from .numerics import categorical_sample
 
-    return categorical_sample(probs, rng)
+    return categorical_sample(posterior(x, z_t, s, t, process), rng)
 
 
 def ancestral_sample(model_probs_fn, process: DiffusionProcess, steps: int,

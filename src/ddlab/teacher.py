@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import AdamState, adam_step
 from .data import SyntheticDataset
 from .nets import Denoiser, ModelConfig
@@ -27,6 +26,8 @@ class TeacherTrainConfig:
     def __post_init__(self):
         if self.weighting not in ("unit", "mdlm"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
+        if min(self.batch, self.eval_every, self.eval_steps) < 1:
+            raise ValueError("batch, eval_every and eval_steps must be >= 1")
 
 
 def loss_weight(t: np.ndarray, process: DiffusionProcess, weighting: str) -> np.ndarray:
@@ -55,22 +56,6 @@ def _noised_batch(batch: np.ndarray, process: DiffusionProcess, rng: RngState,
     w = loss_weight(t, process, weighting)[:, None]
     pos = position_mask(z_t, process)
     return t, z_t, w * pos, max(pos.sum(), 1.0)
-
-
-def teacher_loss(model: Denoiser, batch: np.ndarray, process: DiffusionProcess,
-                 rng: RngState, weighting: str = "unit", params=None):
-    """Mean w(t) * CE(x | softmax(model(z_t, t))) with per-example t ~ U(0,1).
-
-    For masked processes the cross-entropy is restricted to masked positions.
-    Returns a Var when `params` contains Vars: the tape oracle of
-    `teacher_step`, which draws the same batch from the same `rng`.
-    """
-    batch = np.asarray(batch)
-    t, z_t, wpos, denom = _noised_batch(batch, process, rng, weighting)
-    logits = model.forward(z_t, t, params=params)
-    logp = ad.log_softmax(logits)
-    ce = ad.mul(ad.take_along_last(logp, batch), -1.0)  # (B, D)
-    return ad.div(ad.reduce_sum(ad.mul(ce, wpos)), denom)
 
 
 def cross_entropy_head(logits: np.ndarray, target: np.ndarray, weight: np.ndarray):

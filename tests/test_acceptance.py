@@ -15,13 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from ddlab import autodiff as ad
-from ddlab.autodiff import ParamStore, finite_diff_check
+import oracle as ad
+from ddlab.autodiff import ParamStore
 from ddlab.cli import main
 from ddlab.data import SyntheticDataset, make_dataset
-from ddlab.distill import (DistillConfig, DistillDivergence, Distiller,
-                           auxiliary_loss, auxiliary_loss_posterior,
-                           generator_loss, generator_loss_posterior,
+from ddlab.distill import (DistillConfig, DistillDivergence, Distiller, posterior_kl_head,
                            teacher_logits)
 from ddlab.metrics import (ExactDistribution, ReferenceModel,
                            exact_chain_distribution, factorized_oracle_chain,
@@ -30,7 +28,9 @@ from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState, log_softmax, one_hot, softmax
 from ddlab.process import (DiffusionProcess, NoiseSchedule, diffuse, posterior,
                            posterior_sample)
-from ddlab.teacher import TeacherTrainConfig, teacher_loss, train_teacher
+from ddlab.teacher import TeacherTrainConfig, position_mask, train_teacher
+from oracle import (auxiliary_loss, auxiliary_loss_posterior, finite_diff_check,
+                    generator_loss, generator_loss_posterior, leaves, teacher_loss)
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 2, NoiseSchedule("linear"))
@@ -88,7 +88,8 @@ def _distill_best_kl(teacher, dataset, process, exact_q, cfg, seed, n_noise,
 
 
 def test_accept_1_gradient_correctness():
-    """All five losses: analytic gradients vs central differences, < 1e-4."""
+    """All five losses, on the tape and in the closed-form posterior-KL head:
+    analytic gradients vs central differences, < 1e-4."""
     worst = 0.0
 
     # teacher loss, masked and uniform
@@ -101,7 +102,7 @@ def test_accept_1_gradient_correctness():
 
         def f_teacher():
             return teacher_loss(model, x, process, RngState(33),
-                                params=model.store.leaves())
+                                params=leaves(model.store))
 
         worst = max(worst, finite_diff_check(f_teacher, model.store,
                                              max_coords=60, rng=RngState(34)).max_rel_error)
@@ -118,7 +119,7 @@ def test_accept_1_gradient_correctness():
     gen_store.add("logits", rng.normal((2, 3, 2)))
 
     def f_gen():
-        return generator_loss(ad.softmax(gen_store.leaves()["logits"]),
+        return generator_loss(ad.softmax(leaves(gen_store)["logits"]),
                               teacher_logp, aux_logp)
 
     worst = max(worst, finite_diff_check(f_gen, gen_store).max_rel_error)
@@ -129,7 +130,7 @@ def test_accept_1_gradient_correctness():
 
     def f_aux():
         return auxiliary_loss(target, teacher_probs,
-                              ad.log_softmax(aux_store.leaves()["logits"]), MASKED)
+                              ad.log_softmax(leaves(aux_store)["logits"]), MASKED)
 
     worst = max(worst, finite_diff_check(f_aux, aux_store).max_rel_error)
 
@@ -143,7 +144,7 @@ def test_accept_1_gradient_correctness():
     pg_store.add("logits", rng.normal((2, 1, 2)))
 
     def f_pgen():
-        return generator_loss_posterior(ad.softmax(pg_store.leaves()["logits"]),
+        return generator_loss_posterior(ad.softmax(leaves(pg_store)["logits"]),
                                         teacher_probs1, aux_probs1, z1, 0.5,
                                         1 / 64, UNIFORM)
 
@@ -154,10 +155,31 @@ def test_accept_1_gradient_correctness():
 
     def f_paux():
         return auxiliary_loss_posterior(gen_probs, teacher_probs1,
-                                        ad.softmax(pa_store.leaves()["logits"]),
+                                        ad.softmax(leaves(pa_store)["logits"]),
                                         z1, 0.5, 1 / 64, UNIFORM)
 
     worst = max(worst, finite_diff_check(f_paux, pa_store).max_rel_error)
+
+    # the closed-form posterior-KL head that training runs, both phases, with
+    # per-example s and (masked) revealed positions in z_s
+    rng = RngState(36)
+    for process in (MASKED, UNIFORM):
+        z_h = rng.integers(0, process.vocab_eff, size=(2, 3))
+        s_h = rng.uniform(size=2)
+        teacher_h, fixed_h = softmax(rng.normal((2, 3, 2))), softmax(rng.normal((2, 3, 2)))
+        for gen_phase in (True, False):
+            head_store = ParamStore()
+            head_store.add("logits", rng.normal((2, 3, 2)))
+
+            def f_head():
+                probs = softmax(head_store.get("logits"))
+                gen, aux = (probs, fixed_h) if gen_phase else (fixed_h, probs)
+                loss, dlogits = posterior_kl_head(gen, teacher_h, aux, z_h, s_h, 1 / 64, process,
+                                                  position_mask(z_h, process), gen_phase)
+                head_store.grads[:] = dlogits.ravel()
+                return loss
+
+            worst = max(worst, finite_diff_check(f_head, head_store).max_rel_error)
 
     assert worst < 1e-4, worst
     print(f"ACCEPT 1 PASS gradient correctness: max rel err {worst:.3g} < 1e-4")

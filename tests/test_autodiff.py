@@ -1,13 +1,18 @@
-"""Tests for the tape: every analytic gradient is checked against central
-finite differences, never against itself."""
+"""Tests for the parameter store and Adam, and for the tape oracle of
+`tests/oracle.py`: every tape gradient is checked against central finite
+differences, never against itself."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
-from ddlab import autodiff as ad
-from ddlab.autodiff import (AdamState, AutodiffError, ParamStore, Var,
-                            adam_step, backward, finite_diff_check)
+import ddlab
+import oracle as ad
+from ddlab.autodiff import AdamState, AutodiffError, ParamStore, adam_step
 from ddlab.numerics import NumericsError, RngState, one_hot
+from oracle import Var, backward, finite_diff_check, leaves
 
 
 def _store_with(name, array):
@@ -27,7 +32,7 @@ def test_softmax_cross_entropy_gradient():
     # d/dv CE(one-hot, log_softmax(v)) = softmax(v) - one-hot
     v = np.array([0.3, -1.2, 0.7])
     store = _store_with("v", v)
-    leaf = store.leaves()["v"]
+    leaf = leaves(store)["v"]
     logp = ad.log_softmax(leaf)
     loss = ad.mul(ad.reduce_sum(ad.mul(logp, one_hot(np.array(1), 3))), -1.0)
     backward(loss)
@@ -37,7 +42,7 @@ def test_softmax_cross_entropy_gradient():
 
 def test_quadratic_gradient():
     store = _store_with("x", np.array([1.0, -2.0, 3.0]))
-    leaf = store.leaves()["x"]
+    leaf = leaves(store)["x"]
     loss = ad.reduce_sum(ad.mul(leaf, leaf))
     backward(loss)
     np.testing.assert_allclose(store.grad("x"), 2.0 * store.get("x"), atol=1e-12)
@@ -45,7 +50,7 @@ def test_quadratic_gradient():
 
 def test_gradient_accumulates_across_reuse():
     store = _store_with("x", np.array([2.0]))
-    leaf = store.leaves()["x"]
+    leaf = leaves(store)["x"]
     loss = ad.reduce_sum(ad.add(ad.mul(leaf, 3.0), ad.mul(leaf, leaf)))
     backward(loss)
     np.testing.assert_allclose(store.grad("x"), [3.0 + 4.0], atol=1e-12)
@@ -57,7 +62,7 @@ def test_backward_is_linear():
     grads = []
     for combo in ("f", "g", "fg"):
         store = _store_with("x", x)
-        leaf = store.leaves()["x"]
+        leaf = leaves(store)["x"]
         f = ad.reduce_sum(ad.tanh(leaf))
         g = ad.reduce_sum(ad.exp(leaf))
         loss = {"f": f, "g": g, "fg": ad.add(f, g)}[combo]
@@ -68,7 +73,7 @@ def test_backward_is_linear():
 
 def test_stop_gradient_blocks():
     store = _store_with("x", np.array([1.0, 2.0]))
-    leaf = store.leaves()["x"]
+    leaf = leaves(store)["x"]
     blocked = ad.stop_gradient(ad.mul(leaf, leaf))
     loss = ad.reduce_sum(ad.mul(leaf, blocked))
     backward(loss)
@@ -78,7 +83,7 @@ def test_stop_gradient_blocks():
 
 def test_backward_rejects_nonscalar_and_plain_arrays():
     store = _store_with("x", np.ones(3))
-    leaf = store.leaves()["x"]
+    leaf = leaves(store)["x"]
     with pytest.raises(AutodiffError):
         backward(ad.mul(leaf, 2.0))
     with pytest.raises(AutodiffError):
@@ -104,7 +109,7 @@ def test_composite_ops_match_finite_differences(build):
     store = _store_with("w", rng.normal((2, 4)))
 
     def f():
-        return build(store.leaves()["w"])
+        return build(leaves(store)["w"])
 
     report = finite_diff_check(f, store)
     assert report.max_rel_error < 1e-6, report
@@ -115,7 +120,7 @@ def test_take_rows_gradient():
     idx = np.array([[0, 2], [2, 2]])
 
     def f():
-        return ad.reduce_sum(ad.mul(ad.take_rows(store.leaves()["table"], idx), 2.0))
+        return ad.reduce_sum(ad.mul(ad.take_rows(leaves(store)["table"], idx), 2.0))
 
     report = finite_diff_check(f, store)
     assert report.max_rel_error < 1e-6, report
@@ -125,7 +130,7 @@ def test_unbroadcast_bias_gradient():
     store = _store_with("b", np.zeros(3))
 
     def f():
-        return ad.reduce_sum(ad.tanh(ad.add(np.ones((4, 3)), store.leaves()["b"])))
+        return ad.reduce_sum(ad.tanh(ad.add(np.ones((4, 3)), leaves(store)["b"])))
 
     report = finite_diff_check(f, store)
     assert report.max_rel_error < 1e-6, report
@@ -176,10 +181,20 @@ def test_finite_diff_check_flags_wrong_gradient():
     store = _store_with("x", np.array([0.5, -0.3]))
 
     def f():
-        leaf = store.leaves()["x"]
+        leaf = leaves(store)["x"]
         good = ad.tanh(leaf)
         bad = Var(good.value, ((leaf, lambda g: 2.0 * g),))  # wrong jacobian
         return ad.reduce_sum(bad)
 
     report = finite_diff_check(f, store)
     assert report.max_rel_error > 0.1
+
+
+def test_package_holds_no_tape():
+    # the tape is a test oracle only: no ddlab module defines or imports it
+    names = ["ddlab"] + [m.name for m in pkgutil.iter_modules(ddlab.__path__, "ddlab.")]
+    assert "ddlab.autodiff" in names and "ddlab.distill" in names
+    for name in names:
+        module = importlib.import_module(name)
+        for banned in ("Var", "backward", "finite_diff_check"):
+            assert not hasattr(module, banned), (name, banned)

@@ -255,6 +255,54 @@ def test_cli_bad_value_is_config_error(tmp_path, old, new):
     assert not (out / "teacher.ckpt").exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("steps = 200", "steps = 200\nbatch = 0"),
+    ("eval_every = 100", "eval_every = 0"),
+    ("eval_steps = 4", "eval_steps = 0"),
+    ("steps = 60", "steps = 60\nbatch = 0"),
+    ("eval_every = 30", "eval_every = 0"),
+    ("noise_marginal_draws = 8", "noise_marginal_draws = 0"),
+    ("k = 1", "k = 1\nds = 0.0"),
+    ("k = 1", "k = 1\nds = -0.01"),
+    ("k = 1", "k = 1\nds = 1.5"),
+    ("n_noise = 4", "n_noise = -1"),
+])
+def test_cli_out_of_range_value_is_config_error(tmp_path, old, new):
+    # counts, widths and ds that would fail later (or, for n_noise, pass silently)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BASE_CONFIG.replace(old, new, 1))
+    with pytest.raises(ConfigError):
+        load_config(str(bad))
+    out = tmp_path / "out"
+    assert main(["train-teacher", "--config", str(bad), "--out", str(out)]) == 2
+    assert not (out / "teacher.ckpt").exists()
+
+
+def test_cli_process_error_exit_code(config_path, tmp_path, monkeypatch):
+    # a posterior underflow during distillation is a numerical failure: exit 4
+    import ddlab.distill as distill
+    from ddlab.process import ProcessError
+
+    out = str(tmp_path / "out")
+    assert main(["train-teacher", "--config", config_path, "--out", out, "--seed", "3"]) == 0
+
+    def underflow(*args, **kwargs):
+        raise ProcessError("posterior denominator underflow: inconsistent (x, z_t) pair")
+
+    monkeypatch.setattr(distill, "posterior_sample", underflow)
+    code = main(["distill", "--config", config_path, "--teacher",
+                 os.path.join(out, "teacher.ckpt"), "--out", out, "--seed", "3"])
+    assert code == 4
+    assert not os.path.exists(os.path.join(out, "generator.ckpt"))
+
+
+def test_cli_zero_sampling_steps_is_config_error(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["train-teacher", "--config", config_path, "--out", out, "--seed", "3"]) == 0
+    assert main(["sample", "--config", config_path, "--checkpoint",
+                 os.path.join(out, "teacher.ckpt"), "--out", out, "--steps", "0"]) == 2
+
+
 def test_cli_sweep_bad_value_is_config_error(config_path, tmp_path):
     assert main(["sweep", "--config", config_path, "--axis", "distill.tau",
                  "--values", "1.0,2.0", "--out", str(tmp_path)]) == 2

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ddlab import autodiff as ad
-from ddlab.autodiff import ParamStore, backward, finite_diff_check
+import oracle as ad
+from ddlab.autodiff import ParamStore
 from ddlab.data import make_dataset
-from ddlab.distill import (DistillConfig, DistillError, Distiller,
-                           auxiliary_loss, auxiliary_loss_posterior,
-                           generator_loss, generator_loss_posterior,
+from ddlab.distill import (DistillConfig, DistillError, Distiller, posterior_kl_head,
                            sample_times, teacher_logits)
 from ddlab.nets import Denoiser, ModelConfig, init_from_teacher
 from ddlab.numerics import RngState, log_softmax, softmax
 from ddlab.process import DiffusionProcess, NoiseSchedule, ProcessError, ancestral_sample
+from ddlab.teacher import position_mask
+from oracle import (auxiliary_loss, auxiliary_loss_posterior, backward, finite_diff_check,
+                    generator_loss, generator_loss_posterior, leaves)
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 2, NoiseSchedule("linear"))
@@ -129,7 +130,7 @@ def test_generator_loss_gradient_matches_finite_differences():
     aux_logp = log_softmax(RngState(6).normal((2, 3, 2)))
 
     def f():
-        xhat = ad.softmax(store.leaves()["logits"])
+        xhat = ad.softmax(leaves(store)["logits"])
         return generator_loss(xhat, teacher_logp, aux_logp)
 
     report = finite_diff_check(f, store)
@@ -152,7 +153,7 @@ def test_auxiliary_loss_stationary_at_mixture():
     store.add("logits", np.log(optimum[0]))
 
     def f():
-        aux_logp = ad.log_softmax(store.leaves()["logits"])
+        aux_logp = ad.log_softmax(leaves(store)["logits"])
         return auxiliary_loss(target, teacher_probs, ad.expand_dims(aux_logp, 0), MASKED)
 
     store.zero_grad()
@@ -177,7 +178,7 @@ def test_auxiliary_loss_gradient_matches_finite_differences():
     target = RngState(9).integers(0, 2, size=(2, 3))
 
     def f():
-        aux_logp = ad.log_softmax(store.leaves()["logits"])
+        aux_logp = ad.log_softmax(leaves(store)["logits"])
         return auxiliary_loss(target, teacher_probs, aux_logp, MASKED)
 
     report = finite_diff_check(f, store)
@@ -195,7 +196,7 @@ def test_posterior_variant_gradients_match_finite_differences():
     aux_probs = softmax(RngState(12).normal((2, 1, 2)))
 
     def f_gen():
-        xhat = ad.softmax(gen_store.leaves()["logits"])
+        xhat = ad.softmax(leaves(gen_store)["logits"])
         return generator_loss_posterior(xhat, teacher_probs, aux_probs,
                                         z_s, s, ds, UNIFORM)
 
@@ -207,12 +208,31 @@ def test_posterior_variant_gradients_match_finite_differences():
     gen_probs = softmax(RngState(14).normal((2, 1, 2)))
 
     def f_aux():
-        aux = ad.softmax(aux_store.leaves()["logits"])
+        aux = ad.softmax(leaves(aux_store)["logits"])
         return auxiliary_loss_posterior(gen_probs, teacher_probs, aux,
                                         z_s, s, ds, UNIFORM)
 
     report = finite_diff_check(f_aux, aux_store)
     assert report.max_rel_error < 1e-4, report
+
+
+@pytest.mark.parametrize("gen_phase", [True, False], ids=["gen", "aux"])
+def test_posterior_kl_head_survives_underflow_on_revealed_positions(gen_phase):
+    # a row with < 1e-30 on a token z_s has already revealed: the raw posterior
+    # is 0/0 there, but carry-over keeps the row fixed and pos_mask drops it
+    z_s = np.array([[0, MASKED.mask_id]])
+    tiny = [1e-31, 1.0 - 1e-31]
+    gen, aux, teacher = (np.array([[tiny, masked_row]])
+                         for masked_row in ([0.4, 0.6], [0.7, 0.3], [0.2, 0.8]))
+    s, ds, pos = np.array([0.5]), 1 / 64, position_mask(z_s, MASKED)
+    loss, dlogits = posterior_kl_head(gen, teacher, aux, z_s, s, ds, MASKED, pos, gen_phase)
+    assert np.isfinite(loss) and loss != 0.0
+    assert np.all(np.isfinite(dlogits))
+    assert np.all(dlogits[0, 0] == 0.0) and np.any(dlogits[0, 1] != 0.0)
+    # the raw formula of the tape oracle has no carry-over and rejects the pair
+    tape_loss = generator_loss_posterior if gen_phase else auxiliary_loss_posterior
+    with pytest.raises(ProcessError):
+        tape_loss(gen, teacher, aux, z_s, s, ds, MASKED, 1.0, pos)
 
 
 def test_posterior_variant_zero_at_fixed_point():

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from ddlab import autodiff as ad
+import oracle as ad
 from ddlab import nets
-from ddlab.autodiff import ParamStore, finite_diff_check
+from ddlab.autodiff import ParamStore
 from ddlab.data import make_dataset
-from ddlab.distill import (_head_weights, auxiliary_loss, auxiliary_loss_head,
-                           generator_loss, generator_loss_head)
+from ddlab.distill import (_head_weights, auxiliary_loss_head, generator_loss_head,
+                           posterior_kl_head)
 from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState, log_softmax, one_hot, softmax
 from ddlab.process import DiffusionProcess, NoiseSchedule
-from ddlab.teacher import cross_entropy_head, teacher_loss, teacher_step
+from ddlab.teacher import cross_entropy_head, position_mask, teacher_step
+from oracle import (auxiliary_loss, auxiliary_loss_posterior, finite_diff_check,
+                    generator_loss, generator_loss_posterior, leaves, tape_forward,
+                    teacher_loss)
 
 MASKED = DiffusionProcess("masked", 3, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 3, NoiseSchedule("linear"))
@@ -44,7 +47,7 @@ def test_nograd_forward_equals_tape_forward(masked, n_noise, per_example_t):
     batch = 2 * rows + 37  # two row blocks; the last one takes the 37-row remainder
     z, t, noise = _inputs(model, batch, per_example_t)
     fused = model.forward(z, t, noise=noise)
-    tape = model.forward(z, t, noise=noise, params=model.store.leaves())
+    tape = tape_forward(model, z, t, noise=noise)
     assert isinstance(tape, ad.Var)
     assert np.array_equal(fused, tape.value)
 
@@ -58,13 +61,13 @@ def test_denoiser_forward_equals_tape_forward(seq_len):
     model.store.values[:] = RngState(4).normal(model.store.values.shape)
     batch = 3 * nets._block_rows(cfg) + 1
     z = RngState(5).integers(0, cfg.vocab_in, size=(batch, seq_len))
-    tape = model.forward(z, 0.5, params=model.store.leaves()).value
+    tape = tape_forward(model, z, 0.5).value
     assert np.array_equal(model.forward(z, 0.5), tape)
 
 
 def _tape_grads(model, z, t, noise, dlogits):
     model.store.zero_grad()
-    logits = model.forward(z, t, noise=noise, params=model.store.leaves())
+    logits = tape_forward(model, z, t, noise=noise)
     ad.backward(ad.reduce_sum(ad.mul(logits, dlogits)))
     return model.store.grads.copy()
 
@@ -92,7 +95,7 @@ def test_fused_gradients_match_tape(masked, n_noise, depth):
 def _logits_leaf(shape, seed):
     store = ParamStore()
     store.add("logits", RngState(seed).normal(shape))
-    return store, store.leaves()["logits"]
+    return store, leaves(store)["logits"]
 
 
 def _assert_head_matches(loss_tape, store, loss, dlogits):
@@ -147,13 +150,39 @@ def test_auxiliary_head_matches_tape(soft):
 
 
 @pytest.mark.parametrize("process", [MASKED, UNIFORM], ids=["masked", "uniform"])
+@pytest.mark.parametrize("gen_phase", [True, False], ids=["gen", "aux"])
+def test_posterior_kl_head_matches_tape(process, gen_phase):
+    # per-example s; for the masked process z_s mixes MASK and revealed positions
+    store, leaf = _logits_leaf((6, 4, 3), 100)
+    teacher_probs = softmax(RngState(101).normal((6, 4, 3)))
+    fixed = softmax(RngState(102).normal((6, 4, 3)))  # the aux row, or the gen row
+    z_s = RngState(103).integers(0, process.vocab_eff, size=(6, 4))
+    s = RngState(104).uniform(size=6)
+    w = 1.0 + RngState(105).uniform(size=6)[:, None]
+    pos = position_mask(z_s, process)
+    if process.masked:
+        assert 0 < pos.sum() < pos.size
+    if gen_phase:
+        loss_tape = generator_loss_posterior(ad.softmax(leaf), teacher_probs, fixed,
+                                             z_s, s, 1 / 64, process, w, pos)
+        gen_probs, aux_probs = softmax(leaf.value), fixed
+    else:
+        loss_tape = auxiliary_loss_posterior(fixed, teacher_probs, ad.softmax(leaf),
+                                             z_s, s, 1 / 64, process, w, pos)
+        gen_probs, aux_probs = fixed, softmax(leaf.value)
+    loss, dlogits = posterior_kl_head(gen_probs, teacher_probs, aux_probs, z_s, s, 1 / 64,
+                                      process, _head_weights(w, pos), gen_phase)
+    _assert_head_matches(loss_tape, store, loss, dlogits)
+
+
+@pytest.mark.parametrize("process", [MASKED, UNIFORM], ids=["masked", "uniform"])
 def test_teacher_step_matches_tape_teacher_loss(process):
     cfg = ModelConfig(seq_len=3, vocab=3, masked=process.masked, emb=8, hidden=12, depth=2)
     model = Denoiser(cfg, RngState(80))
     model.store.values[:] = RngState(81).normal(model.store.values.shape) * 0.4
     x = make_dataset("markov_chain", 3, 3, seed=1).sample(64, RngState(82))
     model.store.zero_grad()
-    loss_tape = teacher_loss(model, x, process, RngState(83), params=model.store.leaves())
+    loss_tape = teacher_loss(model, x, process, RngState(83), params=leaves(model.store))
     ad.backward(loss_tape)
     tape = model.store.grads.copy()
     loss = teacher_step(model, x, process, RngState(83))

@@ -7,11 +7,12 @@ frequencies against the analytic vector.
 import numpy as np
 import pytest
 
-from ddlab import autodiff as ad
-from ddlab.numerics import RngState, one_hot
-from ddlab.process import (DiffusionProcess, NoiseSchedule, ProcessError,
+from ddlab.autodiff import ParamStore
+from ddlab.numerics import RngState, one_hot, softmax
+from ddlab.process import (DiffusionProcess, NoiseSchedule, Posterior, ProcessError,
                            ancestral_sample, diffuse, posterior,
                            posterior_sample)
+from oracle import finite_diff_check
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 2, NoiseSchedule("linear"))
@@ -151,23 +152,41 @@ def test_posterior_soft_x_matches_mixture():
     np.testing.assert_allclose(blended, 0.3 * hard0 + 0.7 * hard1, atol=1e-12)
 
 
+def test_posterior_soft_x_carries_revealed_positions():
+    # a revealed position stays put for soft x too, even where x puts no mass
+    # on its token (the raw formula is 0/0 there); MASK positions still blend
+    z_t = np.array([[0, MASKED.mask_id], [1, 1]])
+    soft = np.array([[[0.0, 1.0], [0.3, 0.7]], [[1e-40, 1.0], [0.5, 0.5]]])
+    probs = posterior(soft, z_t, 0.25, 0.5, MASKED)
+    np.testing.assert_array_equal(probs[0, 0], [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(probs[1], [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    np.testing.assert_allclose(probs[0, 1], posterior(soft[:1, 1:], z_t[:1, 1:], 0.25, 0.5,
+                                                      MASKED)[0, 0], atol=1e-15)
+    # without carry-over (uniform noise), an x with no mass on z_t at t = 0 is inconsistent
+    with pytest.raises(ProcessError):
+        posterior(np.array([[[0.0, 1.0]]]), np.array([[0]]), 0.0, 0.0, UNIFORM)
+
+
 def test_posterior_differentiable_in_soft_x():
-    from ddlab.autodiff import ParamStore, finite_diff_check
+    # Posterior.vjp against central differences, through a softmax of logits;
+    # revealed positions (carry-over) have an exactly zero gradient both ways
+    for process in (MASKED, UNIFORM):
+        store = ParamStore()
+        store.add("logits", RngState(6).normal((2, 3, 2)))
+        z_t = np.array([[2, 0, 2], [1, 2, 2]]) % process.vocab_eff
+        post = Posterior(z_t, np.array([0.2, 0.1]), np.array([0.7, 0.4]), process)
+        grad = np.arange(6.0 * process.vocab_eff).reshape(2, 3, -1)
 
-    store = ParamStore()
-    store.add("logits", RngState(6).normal((2, 3, 2)))
-    # fully-masked probes: at revealed positions the posterior is constant in
-    # x (carry-over), which makes exact-zero gradients that defeat the
-    # relative-error metric
-    z_t = np.array([[2, 2, 2], [2, 2, 2]])
+        def f():
+            soft = softmax(store.get("logits"))
+            probs = post(soft)
+            dsoft = post.vjp(soft, probs, grad)
+            store.grads[:] = (soft * (dsoft - np.sum(soft * dsoft, axis=-1,
+                                                     keepdims=True))).ravel()
+            return float(np.sum(probs * grad))
 
-    def f():
-        soft = ad.softmax(store.leaves()["logits"])
-        probs = posterior(soft, z_t, 0.2, 0.7, MASKED)
-        return ad.reduce_sum(ad.mul(probs, np.arange(18.0).reshape(2, 3, 3)))
-
-    report = finite_diff_check(f, store)
-    assert report.max_rel_error < 1e-6, report
+        report = finite_diff_check(f, store)
+        assert report.max_rel_error < 1e-6, (process.kind, report)
 
 
 GRID = [(0.0, 0.3), (0.2, 0.5), (0.25, 0.5), (0.4, 0.9), (0.0, 1.0),

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from ddlab.autodiff import finite_diff_check
 from ddlab.data import make_dataset
 from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState
 from ddlab.process import DiffusionProcess, NoiseSchedule
-from ddlab.teacher import (TeacherTrainConfig, loss_weight, teacher_loss,
-                           train_teacher)
+from ddlab.teacher import TeacherTrainConfig, loss_weight, train_teacher
+from oracle import finite_diff_check, leaves, teacher_loss
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 2, NoiseSchedule("linear"))
@@ -46,7 +45,7 @@ def test_teacher_loss_gradient_matches_finite_differences():
 
         def f():
             return teacher_loss(model, x, process, RngState(6),
-                                params=model.store.leaves())
+                                params=leaves(model.store))
 
         report = finite_diff_check(f, model.store, max_coords=60, rng=RngState(7))
         assert report.max_rel_error < 1e-4, report
