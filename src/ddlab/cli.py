@@ -8,23 +8,29 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import dataclasses
 import json
 import os
 import sys
 
 from .config import ConfigError, ExperimentConfig, config_hash, load_config
+from .data import ENUM_GUARD
 from .distill import DistillDivergence, Distiller, teacher_logits
-from .metrics import (ExactDistribution, ReferenceModel, exact_chain_distribution,
-                      factorized_oracle_chain, generative_perplexity,
-                      generator_output_entropy, gradient_moment, kl, sample_entropy)
+from .metrics import (ExactDistribution, MetricError, ReferenceModel, chain_enumerable,
+                      exact_chain_distribution, factorized_oracle_chain,
+                      generative_perplexity, generator_output_entropy, gradient_moment, kl,
+                      sample_entropy)
 from .nets import Denoiser, ModelError, model_from_checkpoint, save_checkpoint
 from .numerics import NumericsError, RngState, softmax
 from .process import ProcessError, ancestral_sample
 from .teacher import train_teacher
 
 CSV_VERSION = "ddlab-csv v1"
-KNOWN_METRICS = ("exact_kl", "gm", "generative_perplexity", "sample_entropy",
-                 "gen_output_entropy")
+# glibc mallopt parameters, and the values the CLI pins them to: the largest
+# dynamic mmap threshold glibc would reach, and twice it for the trim threshold
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
 
 
 class ArtifactError(RuntimeError):
@@ -79,6 +85,17 @@ def _chain_kl(model: Denoiser, dataset, process, steps: int, dcfg, seed: int) ->
     return _teacher_chain_kl(model, dataset, process, steps, dcfg)
 
 
+def _check_computable(names, dataset, process) -> None:
+    """Before any work: exact_kl enumerates the noisy chain, gm and
+    generative_perplexity the data (for the reference model)."""
+    if "exact_kl" in names and not chain_enumerable(process, dataset.seq_len):
+        raise ConfigError(f"exact_kl: {process.vocab_eff}^{dataset.seq_len} chain states "
+                          f"exceed the enumeration guard ({ENUM_GUARD})")
+    if {"gm", "generative_perplexity"} & set(names) and not dataset.enumerable:
+        raise ConfigError(f"gm and generative_perplexity: {dataset.vocab}^{dataset.seq_len} "
+                          f"sequences exceed the enumeration guard ({ENUM_GUARD})")
+
+
 def _default_steps(model: Denoiser, cfg: ExperimentConfig, steps: int | None) -> int:
     """Sampling steps: as given, else the generator's k or the teacher's [eval] steps."""
     if steps is not None:
@@ -101,10 +118,12 @@ def cmd_train_teacher(args) -> int:
                     extra={"config_hash": config_hash(cfg), "seed": seed, "role": "teacher"})
     _write_csv(os.path.join(out, "teacher_log.csv"),
                ["step", "loss", "eval_kl", "wallclock_ms"], rows, cfg, seed)
-    dcfg = cfg.distill_config()
-    table = [{"steps": n, "kl": _teacher_chain_kl(model, dataset, process, n, dcfg)}
-             for n in (1, 2, 4, 8, 16)]
-    _write_csv(os.path.join(out, "teacher_kl_vs_steps.csv"), ["steps", "kl"], table, cfg, seed)
+    if chain_enumerable(process, dataset.seq_len):
+        dcfg = cfg.distill_config()
+        table = [{"steps": n, "kl": _teacher_chain_kl(model, dataset, process, n, dcfg)}
+                 for n in (1, 2, 4, 8, 16)]
+        _write_csv(os.path.join(out, "teacher_kl_vs_steps.csv"), ["steps", "kl"], table,
+                   cfg, seed)
     print(f"teacher checkpoint and logs written to {out}")
     return 0
 
@@ -140,12 +159,12 @@ def cmd_distill(args) -> int:
             raise ArtifactError(f"cannot resume from {args.resume}: {exc}")
 
     def eval_fn(d: Distiller) -> float:
-        if not dataset.enumerable:
-            return float("nan")
         return _student_chain_kl(d.generator, dataset, process, dcfg.k,
                                  dcfg.noise_marginal_draws, seed)
 
-    distiller.run(dcfg.steps - distiller.step_index, eval_fn=eval_fn)
+    # beyond the guard the probes log NaN and the KL table is skipped
+    exact = chain_enumerable(process, dataset.seq_len)
+    distiller.run(dcfg.steps - distiller.step_index, eval_fn=eval_fn if exact else None)
     save_checkpoint(os.path.join(out, "generator.ckpt"), distiller.generator.config,
                     distiller.generator.store,
                     extra={"config_hash": config_hash(cfg), "seed": seed, "role": "generator"})
@@ -156,7 +175,7 @@ def cmd_distill(args) -> int:
     _write_csv(os.path.join(out, "distill_log.csv"),
                ["step", "phase", "loss", "gen_output_entropy", "eval_kl"],
                distiller.log_rows, cfg, seed)
-    if dataset.enumerable:
+    if exact:
         # the last probe already measured the final generator at k = dcfg.k
         rows = distiller.log_rows
         final_kl = (rows[-1]["eval_kl"] if rows and rows[-1]["step"] == distiller.step_index - 1
@@ -196,17 +215,19 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(cfg, args)
     out = _out_dir(cfg, args)
-    metrics = [m.strip() for m in (args.metrics or cfg.get("eval", "metrics")).split(",") if m.strip()]
-    for m in metrics:
-        if m not in KNOWN_METRICS:
-            raise ConfigError(f"unknown metric {m!r}; known: {', '.join(KNOWN_METRICS)}")
+    ecfg = cfg.eval_config()
+    if args.metrics:
+        try:
+            ecfg = dataclasses.replace(ecfg, metrics=args.metrics)
+        except MetricError as exc:
+            raise ConfigError(str(exc)) from None
     dataset = cfg.dataset()
     process = cfg.process()
+    _check_computable(ecfg.names, dataset, process)
     model, _ = _load_compatible(args.checkpoint, cfg)
     steps = _default_steps(model, cfg, args.steps)
     sampler = _model_sampler(model, cfg, process, steps)
     rng = RngState(seed).child(3)
-    n_samples = cfg.get("eval", "n_samples")
 
     ref = ReferenceModel(dataset.seq_len, dataset.vocab)
     if dataset.enumerable:
@@ -214,21 +235,21 @@ def cmd_eval(args) -> int:
 
     records = []
     chash = config_hash(cfg)
-    for name in metrics:
+    for name in ecfg.names:
         rec = {"metric": name, "config_hash": chash, "seed": seed, "steps": steps}
         if name == "exact_kl":
             rec["value"] = _chain_kl(model, dataset, process, steps, cfg.distill_config(), seed)
         elif name == "gm":
-            res = gradient_moment(ref, sampler, dataset.sample, cfg.get("eval", "gm_batch"),
-                                  cfg.get("eval", "gm_pairs"), rng.child(1))
+            res = gradient_moment(ref, sampler, dataset.sample, ecfg.gm_batch, ecfg.gm_pairs,
+                                  rng.child(1))
             rec["value"] = res.estimate
             rec["stderr"] = res.stderr
             if res.warning:
                 rec["warning"] = res.warning
         elif name == "generative_perplexity":
-            rec["value"] = generative_perplexity(ref, sampler(n_samples, rng.child(2)))
+            rec["value"] = generative_perplexity(ref, sampler(ecfg.n_samples, rng.child(2)))
         elif name == "sample_entropy":
-            rec["value"] = sample_entropy(sampler(n_samples, rng.child(3)))
+            rec["value"] = sample_entropy(sampler(ecfg.n_samples, rng.child(3)))
         elif name == "gen_output_entropy":
             rec["value"] = generator_output_entropy(model, process, 256, rng.child(4))
         records.append(rec)
@@ -272,6 +293,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("no sweep values given")
     dataset = cfg.dataset()
     process = cfg.process()
+    _check_computable(("exact_kl", "gm") if args.checkpoint else ("exact_kl",), dataset, process)
     rows = []
     for raw in values:
         point = load_config(args.config)
@@ -345,8 +367,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_malloc_thresholds() -> None:
+    """Keep freed heap pages between training steps (glibc; a no-op elsewhere).
+
+    A teacher or distill step frees a few hundred KiB of temporaries. With
+    glibc's run-time thresholds, whether the top of the heap goes back to the
+    kernel and is faulted in again on every step depends on the layout that
+    earlier allocations left: bits_masked train-teacher took 551 or 65,186
+    page faults (0.25 s more) for the same code (2-core x86-64, glibc 2.36).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _pin_malloc_thresholds()
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .data import SyntheticDataset, make_dataset
 from .distill import DistillConfig
+from .metrics import EvalConfig
 from .nets import ModelConfig
 from .process import DiffusionProcess, NoiseSchedule
 from .teacher import TeacherTrainConfig
@@ -52,13 +53,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "teacher": _section(TeacherTrainConfig),
     "distill": _section(DistillConfig),
-    "eval": {
-        "metrics": (str, "exact_kl,sample_entropy"),
-        "steps": (int, 16),
-        "n_samples": (int, 20000),
-        "gm_pairs": (int, 200),
-        "gm_batch": (int, 64),
-    },
+    "eval": _section(EvalConfig),
     "run": {
         "seed": (int, 0),
         "out_dir": (str, "out"),
@@ -100,6 +95,7 @@ class ExperimentConfig:
             self.model_config()
             self.teacher_config()
             self.distill_config()
+            self.eval_config()
         except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from None
 
@@ -128,6 +124,9 @@ class ExperimentConfig:
 
     def distill_config(self) -> DistillConfig:
         return DistillConfig(**self.values["distill"])
+
+    def eval_config(self) -> EvalConfig:
+        return EvalConfig(**self.values["eval"])
 
 
 def parse_config(text: str) -> ExperimentConfig:

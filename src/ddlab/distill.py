@@ -190,8 +190,7 @@ class Distiller:
 
     def __init__(self, teacher: Denoiser, dataset: SyntheticDataset,
                  process: DiffusionProcess, config: DistillConfig,
-                 rng: RngState, n_noise: int = 0,
-                 generator: Denoiser | None = None, auxiliary: Denoiser | None = None):
+                 rng: RngState, n_noise: int = 0):
         if config.soft_targets and not process.masked:
             raise DistillError("soft targets require a masked process")
         self.teacher = teacher
@@ -199,12 +198,9 @@ class Distiller:
         self.process = process
         self.config = config
         self.rng = rng
-        if generator is None or auxiliary is None:
-            generator, auxiliary = init_from_teacher(teacher, n_noise)
-        self.generator = generator
-        self.auxiliary = auxiliary
-        self.gen_opt = AdamState.for_store(generator.store)
-        self.aux_opt = AdamState.for_store(auxiliary.store)
+        self.generator, self.auxiliary = init_from_teacher(teacher, n_noise)
+        self.gen_opt = AdamState.for_store(self.generator.store)
+        self.aux_opt = AdamState.for_store(self.auxiliary.store)
         self.step_index = 0
         self.log_rows: list[dict] = []
 

@@ -10,11 +10,49 @@ import numpy as np
 
 from .data import ENUM_GUARD, all_sequences
 from .numerics import RngState, entropy, log_softmax, one_hot
-from .process import DiffusionProcess
+from .process import DiffusionProcess, likelihood, posterior_table
 
 
 class MetricError(ValueError):
     pass
+
+
+KNOWN_METRICS = ("exact_kl", "gm", "generative_perplexity", "sample_entropy",
+                 "gen_output_entropy")
+# fewest samples `sample_entropy` accepts
+SAMPLE_ENTROPY_MIN = 1000
+
+
+@dataclass
+class EvalConfig:
+    """The [eval] section: the metrics `eval` reports, the teacher's sampling
+    steps, the sample count and the gradient-moment batches."""
+
+    metrics: str = "exact_kl,sample_entropy"
+    steps: int = 16
+    n_samples: int = 20000
+    gm_pairs: int = 200
+    gm_batch: int = 64
+
+    def __post_init__(self):
+        if min(self.steps, self.n_samples, self.gm_pairs, self.gm_batch) < 1:
+            raise MetricError("steps, n_samples, gm_pairs and gm_batch must be >= 1")
+        for name in self.names:
+            if name not in KNOWN_METRICS:
+                raise MetricError(f"unknown metric {name!r}; known: {', '.join(KNOWN_METRICS)}")
+        if "sample_entropy" in self.names and self.n_samples < SAMPLE_ENTROPY_MIN:
+            raise MetricError(f"sample_entropy needs n_samples >= {SAMPLE_ENTROPY_MIN}, "
+                              f"got {self.n_samples}")
+
+    @property
+    def names(self) -> list[str]:
+        return [m.strip() for m in self.metrics.split(",") if m.strip()]
+
+
+def chain_enumerable(process: DiffusionProcess, seq_len: int) -> bool:
+    """Whether the exact chain DP admits this space: vocab_eff^seq_len noisy
+    states, (vocab + 1)^seq_len for a masked process, at most ENUM_GUARD."""
+    return process.vocab_eff ** seq_len <= ENUM_GUARD
 
 
 @dataclass
@@ -53,26 +91,6 @@ def tv(a: np.ndarray, b: np.ndarray) -> float:
 # A few thousand states still take one block per step (a 1,024-state dense
 # joint is 8 MiB per draw); only larger spaces pay for more chunks.
 CHUNK_BYTES = 32 * 2 ** 20
-
-
-def _posterior_table(process: DiffusionProcess, s: float, t: float) -> np.ndarray:
-    """P[z, c, j] = q(z_s=j | z_t=z, x=c) for every (current token, clean token)."""
-    alpha_s, alpha_t = process.schedule.alpha((s, t)).tolist()
-    a_ts = alpha_t / alpha_s if alpha_s > 0 else 1.0
-    keff, K = process.vocab_eff, process.vocab
-    pi = process.pi
-
-    eye = np.eye(keff)
-    bracket1 = a_ts * eye + (1.0 - a_ts) * pi[:, None]  # (z, j)
-    bracket2 = alpha_s * eye[:K] + (1.0 - alpha_s) * pi  # (c, j)
-    denom = alpha_t * eye[:, :K] + (1.0 - alpha_t) * pi[:, None]  # (z, c)
-    # (z, c) pairs the forward process cannot produce get an all-zero row
-    denom[denom <= 1e-30] = np.inf
-    table = bracket1[:, None, :] * bracket2[None, :, :] / denom[:, :, None]
-    if process.masked:
-        # carry-over: revealed tokens never move, whatever x says
-        table[:K] = eye[:K, None, :]
-    return table
 
 
 def _joint_rows(per_pos: np.ndarray) -> np.ndarray:
@@ -176,7 +194,7 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
     """
     keff, K = process.vocab_eff, process.vocab
     n_states = keff ** seq_len
-    if n_states > ENUM_GUARD:
+    if not chain_enumerable(process, seq_len):
         raise MetricError(f"state space {keff}^{seq_len} exceeds enumeration guard")
     plan = _chain_plan(keff, seq_len, process.mask_id if process.masked else None)
 
@@ -187,9 +205,15 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
         dist[:] = 1.0 / n_states
     draws = 1 if noise_draws is None else len(noise_draws)
 
+    # the tables of many steps per call (per-step times broadcast as per-example
+    # ones do), at most CHUNK_BYTES of them at once
+    block = max(1, CHUNK_BYTES // (8 * keff * K * keff))
     for i in range(k, 0, -1):
-        t, s = i / k, (i - 1) / k
-        table = _posterior_table(process, s, t)  # (z, c, j)
+        if (k - i) % block == 0:
+            first = max(0, i - block)
+            tables, _ = posterior_table(process, np.arange(first, i) / k,
+                                        np.arange(first + 1, i + 1) / k)
+        t, table = i / k, tables[i - 1 - first]  # (z, c, j)
         new = dist * plan.kept
         live = np.flatnonzero(dist[plan.order] > 0)
         src = plan.order[live]
@@ -239,23 +263,20 @@ def oracle_denoiser(q: ExactDistribution, process: DiffusionProcess):
     """
     seqs = all_sequences(q.seq_len, q.vocab)  # (M, D)
     seq_oh = one_hot(seqs, q.vocab).reshape(len(seqs), -1)  # (M, D*K)
-    pi = process.pi
-
     step = max(1, CHUNK_BYTES // (8 * seqs.size))
 
     def predict(z_states, t):
-        alpha_t = float(process.schedule.alpha(t))
+        lik = likelihood(process, t)  # lik[z, c] = q(z_t=z | x=c)
         z_states = np.asarray(z_states)
         out = np.empty((z_states.shape[0], q.seq_len, q.vocab))
         for lo in range(0, z_states.shape[0], step):
             z = z_states[lo:lo + step]
-            # prod_d p(z_d | x_d) for every (state, candidate x), one position
+            # prod_d q(z_d | x_d) for every (state, candidate x), one position
             # at a time: (n, M) arrays, never an (n, M, D) one
-            lik = 1.0
+            joint = 1.0
             for d in range(q.seq_len):
-                lik = lik * (alpha_t * (z[:, d, None] == seqs[:, d])
-                             + (1.0 - alpha_t) * pi[z[:, d]][:, None])
-            w = q.probs * lik  # (n, M)
+                joint = joint * lik[z[:, d, None], seqs[:, d]]
+            w = q.probs * joint  # (n, M)
             totals = w.sum(axis=1, keepdims=True)
             w /= np.maximum(totals, 1e-300)
             chunk = out[lo:lo + step]
@@ -280,8 +301,6 @@ class ReferenceModel:
     Fitting the exact conditionals of q puts the model at its MLE, where the
     expected data log-likelihood gradient is exactly zero.
     """
-
-    BOS_OFFSET = 1
 
     def __init__(self, seq_len: int, vocab: int):
         self.seq_len = seq_len
@@ -371,8 +390,8 @@ def gradient_moment(ref: ReferenceModel, gen_sampler, data_sampler, batch_size: 
 def sample_entropy(samples: np.ndarray) -> float:
     """Empirical unigram token entropy (nats), pooled over all positions."""
     samples = np.asarray(samples)
-    if samples.shape[0] < 1000:
-        raise MetricError("sample_entropy needs at least 1000 samples")
+    if samples.shape[0] < SAMPLE_ENTROPY_MIN:
+        raise MetricError(f"sample_entropy needs at least {SAMPLE_ENTROPY_MIN} samples")
     counts = np.bincount(samples.ravel())
     freqs = counts / counts.sum()
     return float(entropy(freqs))

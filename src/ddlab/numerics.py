@@ -81,17 +81,21 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def categorical_sample(probs: np.ndarray, rng: RngState, row_tol: float = 1e-6) -> np.ndarray:
+# how far a row of `categorical_sample` may stray below 0 or from a sum of 1
+ROW_TOL = 1e-6
+
+
+def categorical_sample(probs: np.ndarray, rng: RngState) -> np.ndarray:
     """Draw one token per row of `probs` (last axis is the category axis).
 
     Uses Gumbel-argmax on log-probabilities so that it composes with
     temperature-modified logits the same way as direct logit sampling.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if np.any(probs < -row_tol):
+    if np.any(probs < -ROW_TOL):
         raise NumericsError("negative probabilities")
     sums = np.sum(probs, axis=-1)
-    if np.any(np.abs(sums - 1.0) > row_tol):
+    if np.any(np.abs(sums - 1.0) > ROW_TOL):
         raise NumericsError(f"rows must sum to 1 (max deviation {np.max(np.abs(sums - 1.0)):.3g})")
     g = rng.gumbel(size=probs.shape)
     logp = np.log(np.maximum(probs, 1e-300))

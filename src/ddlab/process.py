@@ -9,11 +9,12 @@ MASK. Probability vectors over the effective vocabulary have shape
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState, one_hot
+from .numerics import RngState
 
 
 class ProcessError(ValueError):
@@ -87,13 +88,6 @@ class DiffusionProcess:
 DENOM_FLOOR = 1e-30
 
 
-def _check_time(t) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ProcessError(f"time outside [0,1]: {t}")
-    return t
-
-
 def diffuse(x: np.ndarray, t, process: DiffusionProcess, rng: RngState) -> np.ndarray:
     """z_t ~ Cat(alpha_t x + (1 - alpha_t) pi), elementwise.
 
@@ -101,7 +95,9 @@ def diffuse(x: np.ndarray, t, process: DiffusionProcess, rng: RngState) -> np.nd
     """
     x = np.asarray(x)
     process.validate_data(x)
-    t = _check_time(t)
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0.0) or np.any(t > 1.0):
+        raise ProcessError(f"time outside [0,1]: {t}")
     alpha = process.schedule.alpha(t)
     if alpha.ndim == 1:
         alpha = alpha[:, None]
@@ -113,92 +109,105 @@ def diffuse(x: np.ndarray, t, process: DiffusionProcess, rng: RngState) -> np.nd
     return np.where(keep, x, noise)
 
 
-def _soft_x(x, process: DiffusionProcess) -> np.ndarray:
-    """Lift x to a distribution over the effective vocabulary.
+def _aligned(alpha: np.ndarray):
+    # scalar times as Python floats (cheaper against small arrays), per-example
+    # ones as (batch, 1, 1) arrays against the (z, c) axes
+    return float(alpha) if alpha.ndim == 0 else alpha[:, None, None]
 
-    Hard tokens become one-hot rows; soft rows over the data vocabulary get a
-    zero MASK column appended for masked processes.
+
+def likelihood(process: DiffusionProcess, t) -> np.ndarray:
+    """lik[..., z, c] = q(z_t=z | x=c) = alpha_t [z = c] + (1 - alpha_t) pi_z; a
+    per-example `t` of shape (batch,) adds a leading batch axis."""
+    alpha_t = _aligned(process.schedule.alpha(t))
+    eye = np.eye(process.vocab_eff)[:, :process.vocab]
+    return alpha_t * eye + (1.0 - alpha_t) * process.pi[:, None]
+
+
+def posterior_table(process: DiffusionProcess, s, t) -> tuple[np.ndarray, np.ndarray]:
+    """(table, lik): table[..., z, c, j] = q(z_s=j | z_t=z, x=c) and lik = `likelihood`.
+
+    By Bayes, table = (a_ts [z = j] + (1 - a_ts) pi_z)(alpha_s [c = j] +
+    (1 - alpha_s) pi_j) / lik with a_ts = alpha_t / alpha_s; pairs the forward
+    process cannot produce (lik <= DENOM_FLOOR) get an all-zero row. A token a
+    masked z_t has revealed stays put whatever x says (carry-over): its rows
+    are one-hot. Per-example `s`, `t` of shape (batch,) add a leading axis.
     """
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
-        return one_hot(x, process.vocab_eff)
-    width = x.shape[-1]
-    if width == process.vocab_eff:
-        return x
-    if width != process.vocab:
-        raise ProcessError(f"soft x has width {width}, expected {process.vocab}")
-    return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+    s = np.asarray(s, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    # one test for all three bounds: the exact DP builds thousands of tables
+    if not ((0.0 <= s) & (s <= t) & (t <= 1.0)).all():
+        raise ProcessError(f"posterior needs 0 <= s <= t <= 1, got s={s} t={t}")
+    alpha_s, alpha_t = process.schedule.alpha(s), process.schedule.alpha(t)
+    a_ts = _aligned(np.where(alpha_s > 0, alpha_t / np.maximum(alpha_s, 1e-300), 1.0))
+    alpha_s = _aligned(alpha_s)
+    keff, K, pi = process.vocab_eff, process.vocab, process.pi
+    eye = np.eye(keff)
+    lik = likelihood(process, t)
+    from_z = a_ts * eye + (1.0 - a_ts) * pi[:, None]  # (z, j)
+    to_x = alpha_s * eye[:K] + (1.0 - alpha_s) * pi  # (c, j)
+    table = (from_z[..., :, None, :] * to_x[..., None, :, :]
+             / np.where(lik > DENOM_FLOOR, lik, np.inf)[..., None])
+    if process.masked:
+        table[..., :K, :, :] = eye[:K, None, :]
+    return table, lik
 
 
 class Posterior:
-    """q(z_s | z_t, x) at one (z_t, s, t), as a map of x.
+    """q(z_s | z_t, x) at one (z_t, s, t) as a map of x, read from `posterior_table`.
 
-    Per position, q_c = bracket1_c (alpha_s x_c + (1 - alpha_s) pi_c) / denom
-    with denom = alpha_t x_{z_t} + (1 - alpha_t) pi_{z_t}: linear in x above
-    and below, so its Jacobian has a closed form (`vjp`). The x-free parts
-    are built once here and shared by every x the map is applied to.
-
-    `x` may be hard tokens, or soft rows over the data vocabulary (the
-    x-parameterized reverse step). A position a masked z_t has already
-    revealed stays put whatever x says (carry-over): its row is the one-hot
-    of z_t and its gradient is zero, where the raw formula is 0/0 for an x
-    that puts no mass on the revealed token. `s` and `t` may be scalars or
-    per-example arrays of shape (batch,).
+    Hard tokens x read the row table[z_t, x]. Soft rows x over the data
+    vocabulary read the Bayes mixture sum_c w_c table[z_t, c] / sum_c w_c with
+    w = x lik[z_t]: on the simplex, the posterior with x for the one-hot. It
+    is linear in x above and below, so `vjp` is closed-form. Positions a
+    masked z_t has revealed carry over for soft x too: a one-hot row and a
+    zero gradient where the mixture is 0/0. Times as for `posterior_table`.
     """
 
     def __init__(self, z_t: np.ndarray, s, t, process: DiffusionProcess):
-        s = _check_time(s)
-        t = _check_time(t)
-        if np.any(s > t):
-            raise ProcessError(f"posterior needs s <= t, got s={s} t={t}")
         self.process = process
         self.z_t = z_t = np.asarray(z_t)
-        sched = process.schedule
-        alpha_s = sched.alpha(s)
-        alpha_t = sched.alpha(t)
-        a_ts = np.where(alpha_s > 0, alpha_t / np.maximum(alpha_s, 1e-300), 1.0)
-        if alpha_s.ndim == 1:
-            # per-example times: align with (B, D) and (B, D, K_eff) operands
-            self.alpha_t2 = alpha_t[:, None]
-            self.alpha_s3, a_ts3 = alpha_s[:, None, None], a_ts[:, None, None]
-        else:
-            self.alpha_t2 = float(alpha_t)
-            self.alpha_s3, a_ts3 = float(alpha_s), float(a_ts)
-        self.pi = process.pi
-        self.pi_zt = self.pi[z_t]  # pi^T z_t, shape (B, D)
-        self.zt_onehot = one_hot(z_t, process.vocab_eff)
-        self.bracket1 = a_ts3 * self.zt_onehot + (1.0 - a_ts3) * self.pi_zt[..., None]
+        self.table, self.lik = posterior_table(process, s, t)
+        # where z_t's rows sit: per-example tables have a leading batch axis
+        self._at = (z_t,) if self.table.ndim == 3 else (np.arange(len(z_t))[:, None], z_t)
         self.carry = z_t != process.mask_id if process.masked else None
 
-    def _denom(self, xs: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """table[z_t] (B, D, K, K_eff) and lik[z_t] (B, D, K), gathered once for every soft x."""
+        return self.table[self._at], self.lik[self._at]
+
+    def _checked(self, denom: np.ndarray) -> np.ndarray:
         """The per-position denominator, 1 on carried positions; raises on underflow."""
-        x_at_zt = np.take_along_axis(xs, self.z_t[..., None], axis=-1)[..., 0]
-        denom = x_at_zt * self.alpha_t2 + (1.0 - self.alpha_t2) * self.pi_zt
-        live = denom if self.carry is None else denom[~self.carry]
-        if np.any(live < DENOM_FLOOR):
+        if self.carry is not None:
+            denom = np.where(self.carry, 1.0, denom)
+        if (denom < DENOM_FLOOR).any():
             raise ProcessError("posterior denominator underflow: inconsistent (x, z_t) pair")
-        return denom if self.carry is None else np.where(self.carry, 1.0, denom)
+        return denom
 
     def __call__(self, x) -> np.ndarray:
-        xs = _soft_x(x, self.process)  # (B, D, K_eff)
-        bracket2 = xs * self.alpha_s3 + (1.0 - self.alpha_s3) * self.pi
-        out = self.bracket1 * bracket2 / self._denom(xs)[..., None]
+        x = np.asarray(x)
+        if x.dtype.kind != "f":
+            self._checked(self.lik[self._at + (x,)])
+            return self.table[self._at + (x,)]
+        if x.shape[-1] != self.process.vocab:
+            raise ProcessError(f"soft x has width {x.shape[-1]}, expected {self.process.vocab}")
+        table, lik = self._rows
+        w = x * lik
+        out = np.einsum("...c,...cj->...j", w, table) / self._checked(w.sum(axis=-1))[..., None]
         if self.carry is not None:
-            out[self.carry] = self.zt_onehot[self.carry]
+            out[self.carry] = table[self.carry, 0]  # every row of a revealed token
         return out
 
     def vjp(self, x: np.ndarray, q: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """d sum(grad * q) / dx for soft rows x and q = self(x), shape of x.
-
-        dq_c/dx_j = (alpha_s bracket1_j [c = j] - alpha_t q_c [j = z_t]) / denom.
-        """
-        xs = _soft_x(x, self.process)
-        denom = self._denom(xs)[..., None]
-        gx = self.alpha_s3 * self.bracket1 * grad / denom
-        gx -= self.zt_onehot * (self.alpha_t2 * np.sum(grad * q, axis=-1))[..., None] / denom
+        """d sum(grad * q) / dx for soft rows x and q = self(x):
+        dq_j/dx_c = lik[z_t, c] (table[z_t, c, j] - q_j) / sum_c x_c lik[z_t, c]."""
+        table, lik = self._rows
+        denom = self._checked(np.sum(x * lik, axis=-1))
+        gx = np.einsum("...cj,...j->...c", table, grad) - np.sum(grad * q, axis=-1)[..., None]
+        gx *= lik / denom[..., None]
         if self.carry is not None:
             gx[self.carry] = 0.0
-        return gx[..., :np.shape(x)[-1]]
+        return gx
 
 
 def posterior(x, z_t: np.ndarray, s, t, process: DiffusionProcess) -> np.ndarray:

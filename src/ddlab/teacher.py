@@ -109,10 +109,10 @@ def train_teacher(dataset: SyntheticDataset, process: DiffusionProcess,
 
 def _eval_kl(model: Denoiser, dataset: SyntheticDataset, process: DiffusionProcess,
              steps: int) -> float:
-    if not dataset.enumerable:
-        return float("nan")
-    from .metrics import ExactDistribution, exact_chain_distribution, kl
+    from .metrics import ExactDistribution, chain_enumerable, exact_chain_distribution, kl
 
+    if not chain_enumerable(process, dataset.seq_len):
+        return float("nan")
     q = ExactDistribution(dataset.vocab, dataset.seq_len, dataset.exact_q())
     p = exact_chain_distribution(model.probs, process, steps, dataset.seq_len)
     return kl(q, p)

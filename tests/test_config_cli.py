@@ -1,5 +1,6 @@
 """Config parsing and CLI integration tests (exit codes, artifacts, determinism)."""
 
+import csv
 import json
 import os
 
@@ -182,6 +183,13 @@ def test_cli_unknown_metric_is_config_error(config_path, tmp_path):
                  os.path.join(out, "teacher.ckpt"), "--out", out,
                  "--metrics", "fid"])
     assert code == 2
+    # --metrics is checked against [eval] as the config's own list is
+    few = tmp_path / "few.ini"
+    few.write_text(BASE_CONFIG.replace("n_samples = 2000", "n_samples = 500\nmetrics = exact_kl"))
+    code = main(["eval", "--config", str(few), "--checkpoint",
+                 os.path.join(out, "teacher.ckpt"), "--out", out,
+                 "--metrics", "sample_entropy"])
+    assert code == 2
 
 
 def test_cli_sweep_without_checkpoint(config_path, tmp_path):
@@ -245,6 +253,7 @@ def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
     ("n_noise = 4", "n_noise = 4\ntime_width = 3"),
     ("eval_steps = 4", "eval_steps = 4\nweighting = foo"),
     ("k = 1", "k = 1\nweighting = foo"),
+    ("gm_pairs = 20", "gm_pairs = 20\nmetrics = exact_kl,fid"),
 ])
 def test_cli_bad_value_is_config_error(tmp_path, old, new):
     # every value is checked at parse time, before any training
@@ -266,6 +275,11 @@ def test_cli_bad_value_is_config_error(tmp_path, old, new):
     ("k = 1", "k = 1\nds = -0.01"),
     ("k = 1", "k = 1\nds = 1.5"),
     ("n_noise = 4", "n_noise = -1"),
+    ("gm_pairs = 20", "gm_pairs = 20\nsteps = 0"),
+    ("n_samples = 2000", "n_samples = 0"),
+    ("gm_pairs = 20", "gm_pairs = 0"),
+    ("gm_pairs = 20", "gm_pairs = 20\ngm_batch = 0"),
+    ("n_samples = 2000", "n_samples = 500"),  # sample_entropy is a default metric
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, old, new):
     # counts, widths and ds that would fail later (or, for n_noise, pass silently)
@@ -301,6 +315,60 @@ def test_cli_zero_sampling_steps_is_config_error(config_path, tmp_path):
     assert main(["train-teacher", "--config", config_path, "--out", out, "--seed", "3"]) == 0
     assert main(["sample", "--config", config_path, "--checkpoint",
                  os.path.join(out, "teacher.ckpt"), "--out", out, "--steps", "0"]) == 2
+
+
+@pytest.mark.parametrize("seq_len", [10, 15])
+def test_cli_beyond_enumeration_guard(tmp_path, seq_len):
+    # masked K=2: 2^10 sequences but 3^10 noisy states for the DP; at D=15 both exceed
+    # the guard. Training and distilling log NaN probes and skip the KL tables; the
+    # metrics that need enumeration exit 2
+    path = tmp_path / "big.ini"
+    path.write_text(BASE_CONFIG.replace("seq_len = 2", f"seq_len = {seq_len}")
+                    .replace("steps = 200", "steps = 3").replace("steps = 60", "steps = 4"))
+    cfg, out = str(path), str(tmp_path / "out")
+    assert main(["train-teacher", "--config", cfg, "--out", out]) == 0
+    teacher = os.path.join(out, "teacher.ckpt")
+    assert main(["distill", "--config", cfg, "--out", out, "--teacher", teacher]) == 0
+    for log in ("teacher_log.csv", "distill_log.csv"):
+        lines = open(os.path.join(out, log)).read().splitlines()[1:]  # past the version line
+        assert {row["eval_kl"] for row in csv.DictReader(lines)} == {"nan"}, log
+    assert not os.path.exists(os.path.join(out, "teacher_kl_vs_steps.csv"))
+    assert not os.path.exists(os.path.join(out, "student_kl_vs_k.csv"))
+
+    def run_eval(metrics):
+        return main(["eval", "--config", cfg, "--out", out, "--checkpoint", teacher,
+                     "--metrics", metrics, "--steps", "2"])
+
+    assert run_eval("exact_kl") == 2
+    assert run_eval("gm") == (0 if seq_len == 10 else 2)
+    assert run_eval("sample_entropy,gen_output_entropy") == 0
+    assert main(["sweep", "--config", cfg, "--out", out, "--axis", "distill.k",
+                 "--values", "1"]) == 2
+    assert main(["sweep", "--config", cfg, "--out", out, "--axis", "distill.k",
+                 "--values", "1", "--checkpoint", os.path.join(out, "generator.ckpt")]) == 2
+
+
+def test_cli_pins_malloc_thresholds():
+    # after the pin, a 24 MiB block comes from the heap rather than from mmap
+    import ctypes
+
+    import ddlab.cli as cli
+
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("mallinfo2 is glibc's")
+
+    class MallInfo(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+            "uordblks", "fordblks", "keepcost")]
+
+    libc.mallinfo2.restype = MallInfo
+    cli._pin_malloc_thresholds()
+    before = libc.mallinfo2().hblkhd
+    block = np.empty(3 * 2 ** 20)
+    assert libc.mallinfo2().hblkhd == before
+    del block
 
 
 def test_cli_sweep_bad_value_is_config_error(config_path, tmp_path):

@@ -6,13 +6,14 @@ frequencies against the analytic vector.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddlab.autodiff import ParamStore
 from ddlab.numerics import RngState, one_hot, softmax
-from ddlab.process import (DiffusionProcess, NoiseSchedule, Posterior, ProcessError,
-                           ancestral_sample, diffuse, posterior,
-                           posterior_sample)
-from oracle import finite_diff_check
+from ddlab.process import (DENOM_FLOOR, DiffusionProcess, NoiseSchedule, Posterior,
+                           ProcessError, ancestral_sample, diffuse, posterior,
+                           posterior_sample, posterior_table)
+from oracle import finite_diff_check, posterior as oracle_posterior
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 2, NoiseSchedule("linear"))
@@ -187,6 +188,65 @@ def test_posterior_differentiable_in_soft_x():
 
         report = finite_diff_check(f, store)
         assert report.max_rel_error < 1e-6, (process.kind, report)
+
+
+@st.composite
+def posterior_cases(draw):
+    """A process, scalar or per-example times s <= t (0 and 1 included), and
+    z_t, hard x and soft x (softmax of bounded logits) of shape (B, D)."""
+    process = DiffusionProcess(draw(st.sampled_from(["masked", "uniform"])),
+                               draw(st.integers(2, 4)),
+                               NoiseSchedule(draw(st.sampled_from(["linear", "cosine"]))))
+    B, D, K = draw(st.integers(1, 3)), draw(st.integers(1, 3)), process.vocab
+    per_example = draw(st.booleans())
+    time = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    s, t = np.sort(np.array([[draw(time), draw(time)] for _ in range(B if per_example else 1)]),
+                   axis=1).T
+    if not per_example:
+        s, t = float(s[0]), float(t[0])
+
+    def tokens(n):
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=B * D,
+                                      max_size=B * D))).reshape(B, D)
+
+    logits = draw(st.lists(st.floats(-5.0, 5.0), min_size=B * D * K, max_size=B * D * K))
+    return (process, s, t, tokens(process.vocab_eff), tokens(K),
+            softmax(np.reshape(logits, (B, D, K))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(posterior_cases())
+def test_posterior_reads_the_table(case):
+    # hard x reads rows of posterior_table bit for bit; soft x (the Bayes
+    # mixture of those rows) equals the raw closed form of the oracle
+    # wherever its denominator is defined, and revealed positions carry over
+    process, s, t, z_t, x, soft = case
+    post = Posterior(z_t, s, t, process)
+    table, lik = posterior_table(process, s, t)
+    carry = z_t != process.mask_id if process.masked else np.zeros(z_t.shape, dtype=bool)
+    rows = np.empty(z_t.shape + (process.vocab_eff,))
+    underflow = np.zeros(z_t.shape, dtype=bool)
+    for (b, d), z in np.ndenumerate(z_t):
+        tab, lk = (table, lik) if np.ndim(s) == 0 else (table[b], lik[b])
+        rows[b, d] = tab[z, x[b, d]]
+        underflow[b, d] = lk[z, x[b, d]] < DENOM_FLOOR
+    np.testing.assert_array_equal(rows[carry], one_hot(z_t[carry], process.vocab_eff))
+    if np.any(underflow & ~carry):
+        with pytest.raises(ProcessError):
+            post(x)
+    else:
+        np.testing.assert_array_equal(post(x), rows)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = oracle_posterior(soft, z_t, s, t, process, denom_floor=0.0)
+    defined = np.all(np.isfinite(raw), axis=-1)
+    if np.any(~defined & ~carry):
+        with pytest.raises(ProcessError):
+            post(soft)
+        return
+    q = post(soft)
+    np.testing.assert_allclose(q[defined], raw[defined], rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(q[carry], one_hot(z_t[carry], process.vocab_eff))
 
 
 GRID = [(0.0, 0.3), (0.2, 0.5), (0.25, 0.5), (0.4, 0.9), (0.0, 1.0),
