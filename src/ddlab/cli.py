@@ -13,9 +13,10 @@ import dataclasses
 import json
 import os
 import sys
+from typing import NamedTuple
 
-from .config import ConfigError, ExperimentConfig, config_hash, load_config
-from .data import ENUM_GUARD
+from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, load_config
+from .data import ENUM_GUARD, SyntheticDataset
 from .distill import DistillDivergence, Distiller, teacher_logits
 from .metrics import (ExactDistribution, MetricError, ReferenceModel, chain_enumerable,
                       exact_chain_distribution, factorized_oracle_chain,
@@ -23,7 +24,7 @@ from .metrics import (ExactDistribution, MetricError, ReferenceModel, chain_enum
                       sample_entropy)
 from .nets import Denoiser, ModelError, model_from_checkpoint, save_checkpoint
 from .numerics import NumericsError, RngState, softmax
-from .process import ProcessError, ancestral_sample
+from .process import DiffusionProcess, ProcessError, ancestral_sample
 from .teacher import train_teacher
 
 CSV_VERSION = "ddlab-csv v1"
@@ -47,14 +48,28 @@ def _write_csv(path, fieldnames, rows, cfg: ExperimentConfig, seed: int) -> None
                              for k, v in row.items()})
 
 
-def _seed(cfg: ExperimentConfig, args) -> int:
-    return args.seed if args.seed is not None else cfg.get("run", "seed")
+class Context(NamedTuple):
+    """What a command runs with."""
+
+    cfg: ExperimentConfig
+    seed: int
+    out: str
+    dataset: SyntheticDataset
+    process: DiffusionProcess
 
 
-def _out_dir(cfg: ExperimentConfig, args) -> str:
+def _context(args, field: tuple[str, str, str] | None = None) -> Context:
+    """The --config file, with `field` = (section, key, raw value) set for a
+    sweep point; --seed and --out over its [run] values (the output directory
+    is created, but not for a point); and the dataset and process it describes."""
+    cfg = load_config(args.config)
+    if field is not None:
+        cfg.set(*field)
     out = args.out if args.out is not None else cfg.get("run", "out_dir")
-    os.makedirs(out, exist_ok=True)
-    return out
+    if field is None:
+        os.makedirs(out, exist_ok=True)
+    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    return Context(cfg, seed, out, cfg.dataset(), cfg.process())
 
 
 def _exact_q(dataset) -> ExactDistribution:
@@ -75,14 +90,6 @@ def _student_chain_kl(gen: Denoiser, dataset, process, k: int, draws: int, seed:
         noise = RngState(seed).child(901).normal((draws, gen.config.n_noise))
     p = exact_chain_distribution(gen.probs, process, k, dataset.seq_len, noise_draws=noise)
     return kl(_exact_q(dataset), p)
-
-
-def _chain_kl(model: Denoiser, dataset, process, steps: int, dcfg, seed: int) -> float:
-    """Exact KL of the model's `steps`-step chain: a generator's, marginalized
-    over its input noise, or a teacher's after logit surgery."""
-    if model.config.n_noise > 0:
-        return _student_chain_kl(model, dataset, process, steps, dcfg.noise_marginal_draws, seed)
-    return _teacher_chain_kl(model, dataset, process, steps, dcfg)
 
 
 def _check_computable(names, dataset, process) -> None:
@@ -106,11 +113,7 @@ def _default_steps(model: Denoiser, cfg: ExperimentConfig, steps: int | None) ->
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    dataset = cfg.dataset()
-    process = cfg.process()
+    cfg, seed, out, dataset, process = _context(args)
     model, rows = train_teacher(dataset, process, cfg.model_config(n_noise=0),
                                 cfg.teacher_config(), RngState(seed).child(1),
                                 record_wallclock=cfg.get("run", "record_wallclock"))
@@ -141,11 +144,7 @@ def _load_compatible(path, cfg: ExperimentConfig):
 
 
 def cmd_distill(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    dataset = cfg.dataset()
-    process = cfg.process()
+    cfg, seed, out, dataset, process = _context(args)
     teacher, _ = _load_compatible(args.teacher, cfg)
     if teacher.config.n_noise != 0:
         raise ArtifactError(f"{args.teacher} is not a teacher checkpoint")
@@ -211,34 +210,28 @@ def _model_sampler(model: Denoiser, cfg: ExperimentConfig, process, steps: int):
     return sampler
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    ecfg = cfg.eval_config()
-    if args.metrics:
-        try:
-            ecfg = dataclasses.replace(ecfg, metrics=args.metrics)
-        except MetricError as exc:
-            raise ConfigError(str(exc)) from None
-    dataset = cfg.dataset()
-    process = cfg.process()
-    _check_computable(ecfg.names, dataset, process)
-    model, _ = _load_compatible(args.checkpoint, cfg)
-    steps = _default_steps(model, cfg, args.steps)
+def _evaluate(ctx: Context, model: Denoiser, names, steps: int) -> list[dict]:
+    """The `eval` records of the model's `steps`-step chain, one per metric
+    name, under the context's config and seed: the sampled metrics draw from
+    children of RngState(seed).child(3)."""
+    cfg, dataset, process = ctx.cfg, ctx.dataset, ctx.process
+    ecfg, dcfg = cfg.eval_config(), cfg.distill_config()
     sampler = _model_sampler(model, cfg, process, steps)
-    rng = RngState(seed).child(3)
-
+    rng = RngState(ctx.seed).child(3)
     ref = ReferenceModel(dataset.seq_len, dataset.vocab)
     if dataset.enumerable:
         ref.fit_exact(_exact_q(dataset))
 
     records = []
     chash = config_hash(cfg)
-    for name in ecfg.names:
-        rec = {"metric": name, "config_hash": chash, "seed": seed, "steps": steps}
+    for name in names:
+        rec = {"metric": name, "config_hash": chash, "seed": ctx.seed, "steps": steps}
         if name == "exact_kl":
-            rec["value"] = _chain_kl(model, dataset, process, steps, cfg.distill_config(), seed)
+            # a generator's chain marginalized over its input noise, a teacher's after surgery
+            rec["value"] = (_student_chain_kl(model, dataset, process, steps,
+                                              dcfg.noise_marginal_draws, ctx.seed)
+                            if model.config.n_noise > 0 else
+                            _teacher_chain_kl(model, dataset, process, steps, dcfg))
         elif name == "gm":
             res = gradient_moment(ref, sampler, dataset.sample, ecfg.gm_batch, ecfg.gm_pairs,
                                   rng.child(1))
@@ -253,9 +246,21 @@ def cmd_eval(args) -> int:
         elif name == "gen_output_entropy":
             rec["value"] = generator_output_entropy(model, process, 256, rng.child(4))
         records.append(rec)
+    return records
 
-    report_path = os.path.join(out, "eval_report.json")
-    with open(report_path, "w") as fh:
+
+def cmd_eval(args) -> int:
+    ctx = _context(args)
+    ecfg = ctx.cfg.eval_config()
+    if args.metrics:
+        try:
+            ecfg = dataclasses.replace(ecfg, metrics=args.metrics)
+        except MetricError as exc:
+            raise ConfigError(str(exc)) from None
+    _check_computable(ecfg.names, ctx.dataset, ctx.process)
+    model, _ = _load_compatible(args.checkpoint, ctx.cfg)
+    records = _evaluate(ctx, model, ecfg.names, _default_steps(model, ctx.cfg, args.steps))
+    with open(os.path.join(ctx.out, "eval_report.json"), "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     for rec in records:
@@ -264,11 +269,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    dataset = cfg.dataset()
-    process = cfg.process()
+    cfg, seed, out, dataset, process = _context(args)
     model, _ = _load_compatible(args.checkpoint, cfg)
     sampler = _model_sampler(model, cfg, process, _default_steps(model, cfg, args.steps))
     samples = sampler(args.n, RngState(seed).child(4))
@@ -280,45 +281,38 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    try:
-        section, key = args.axis.split(".", 1)
-        cfg.get(section, key)
-    except (ValueError, KeyError):
+    """Each point is the config with the axis set to one value: with
+    --checkpoint, the point's `eval --metrics exact_kl,gm` records; without,
+    the exact KL of the factorized oracle's [distill] k-step chain."""
+    section, _, key = args.axis.partition(".")
+    if key not in SCHEMA.get(section, {}):
         raise ConfigError(f"axis {args.axis!r} does not name a config field (use section.key)")
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("no sweep values given")
-    dataset = cfg.dataset()
-    process = cfg.process()
-    _check_computable(("exact_kl", "gm") if args.checkpoint else ("exact_kl",), dataset, process)
+    base = _context(args)
+    names = ("exact_kl", "gm") if args.checkpoint else ("exact_kl",)
+    points = []
+    for raw in values:  # every point is checked before any point's work
+        point = _context(args, (section, key, raw))
+        _check_computable(names, point.dataset, point.process)
+        model = _load_compatible(args.checkpoint, point.cfg)[0] if args.checkpoint else None
+        points.append((raw, point, model))
     rows = []
-    for raw in values:
-        point = load_config(args.config)
-        point.set(section, key, raw)
-        dcfg = point.distill_config()
+    for raw, point, model in points:
         row = {"axis": args.axis, "value": raw}
-        if args.checkpoint:
-            model, _ = _load_compatible(args.checkpoint, point)
-            steps = _default_steps(model, point, None)
-            row["exact_kl"] = _chain_kl(model, dataset, process, steps, dcfg, seed)
-            ref = ReferenceModel(dataset.seq_len, dataset.vocab)
-            ref.fit_exact(_exact_q(dataset))
-            sampler = _model_sampler(model, point, process, steps)
-            res = gradient_moment(ref, sampler, dataset.sample, point.get("eval", "gm_batch"),
-                                  point.get("eval", "gm_pairs"), RngState(seed).child(5))
-            row["gm"] = res.estimate
-            row["gm_stderr"] = res.stderr
+        if model is None:
+            q = _exact_q(point.dataset)
+            row["exact_kl"] = kl(q, factorized_oracle_chain(q, point.process,
+                                                            point.cfg.get("distill", "k")))
         else:
-            # no checkpoint: report the exact factorized-oracle chain KL
-            oracle_kl = kl(_exact_q(dataset),
-                           factorized_oracle_chain(_exact_q(dataset), process, dcfg.k))
-            row["exact_kl"] = oracle_kl
+            for rec in _evaluate(point, model, names, _default_steps(model, point.cfg, None)):
+                row[rec["metric"]] = rec["value"]
+                row.update({f"{rec['metric']}_{extra}": rec[extra]
+                            for extra in ("stderr", "warning") if extra in rec})
         rows.append(row)
     fields = sorted({f for row in rows for f in row}, key=lambda f: (f not in ("axis", "value"), f))
-    _write_csv(os.path.join(out, "sweep.csv"), fields, rows, cfg, seed)
+    _write_csv(os.path.join(base.out, "sweep.csv"), fields, rows, base.cfg, base.seed)
     for row in rows:
         print(row)
     return 0

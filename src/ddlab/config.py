@@ -25,10 +25,11 @@ class ConfigError(ValueError):
 REQUIRED = object()
 
 
-def _section(cls) -> dict[str, tuple]:
+def _section(cls, exclude=()) -> dict[str, tuple]:
     """The schema section of a config dataclass: its fields, types and defaults."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)
+            if f.name not in exclude}
 
 
 SCHEMA: dict[str, dict[str, tuple]] = {
@@ -42,15 +43,10 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "kind": (str, REQUIRED),
         "schedule": (str, "linear"),
     },
-    # spelled out: n_noise here is the generator's noise width, not the
-    # teacher default of 0 in ModelConfig
-    "model": {
-        "emb": (int, 16),
-        "hidden": (int, 32),
-        "depth": (int, 2),
-        "time_width": (int, 8),
-        "n_noise": (int, 8),
-    },
+    # the sizes come from [dataset] and [process]; n_noise here is the
+    # generator's noise width, not the teacher default of 0 in ModelConfig
+    "model": {**_section(ModelConfig, exclude=("seq_len", "vocab", "masked")),
+              "n_noise": (int, 8)},
     "teacher": _section(TeacherTrainConfig),
     "distill": _section(DistillConfig),
     "eval": _section(EvalConfig),
@@ -130,7 +126,8 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # values are literal: no %-interpolation, so that to_text round-trips any of them
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -51,6 +51,8 @@ class SyntheticDataset:
     _q: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.seq_len < 1 or self.vocab < 1:
+            raise DatasetError(f"seq_len and vocab must be >= 1, got {self.seq_len}, {self.vocab}")
         if self.kind == "correlated_bits":
             # all-equal sequences, equally likely: perfectly correlated tosses
             self.modes = np.tile(np.arange(self.vocab)[:, None], (1, self.seq_len))

@@ -49,7 +49,6 @@ class DistillConfig:
     aux_lr: float = 2e-3
     ds: float = 1.0 / 64.0  # discretization gap of the posterior_kl variant
     aux_per_gen: int = 1  # auxiliary updates per generator update
-    naive_topp_mask: bool = False  # negative-control fixture: -1e20 masking
     eval_every: int = 1000
     noise_marginal_draws: int = 64
 
@@ -86,13 +85,14 @@ def sample_times(rng: RngState, k: int, size=None):
 
 
 def teacher_logits(teacher: Denoiser, z_s: np.ndarray, s: float, tau: float = 1.0,
-                   top_p: float = 1.0, delta: float = 2.0, naive: bool = False) -> np.ndarray:
+                   top_p: float = 1.0, delta: float = 2.0) -> np.ndarray:
     """Teacher log-probabilities after temperature scaling and nucleus shift.
 
     Temperature first: logits = log-probs / tau. The nucleus is the minimal
     prefix of the tau-scaled distribution (probability descending, index
     ascending on ties) with cumulative mass >= top_p; out-of-nucleus logits
-    are lowered by the finite constant delta, never set to a sentinel.
+    are lowered by the constant delta. A finite shift keeps training stable;
+    delta = 1e20 is naive -1e20 masking, the negative control that diverges.
     """
     logp = log_softmax(teacher.forward(z_s, s))
     scaled = logp / tau
@@ -107,8 +107,7 @@ def teacher_logits(teacher: Denoiser, z_s: np.ndarray, s: float, tau: float = 1.
     keep_sorted[..., 1:] = cum[..., :-1] < top_p
     keep = np.zeros_like(keep_sorted)
     np.put_along_axis(keep, order, keep_sorted, axis=-1)
-    shift = -1e20 if naive else -delta
-    return np.where(keep, scaled, scaled + shift)
+    return np.where(keep, scaled, scaled - delta)
 
 
 def _head_weights(weight, pos_mask: np.ndarray) -> np.ndarray:
@@ -238,7 +237,7 @@ class Distiller:
         z_s = posterior_sample(x, z_t, s, t, self.process, self.rng)
         pos_mask = position_mask(z_s, self.process)
         teacher_logp = log_softmax(teacher_logits(self.teacher, z_s, s, cfg.tau, cfg.top_p,
-                                                  cfg.delta, naive=cfg.naive_topp_mask))
+                                                  cfg.delta))
         aux_logits = forward(self.auxiliary, z_s, s)
 
         weight = _head_weights(w, pos_mask)
@@ -324,7 +323,6 @@ def _max_abs_teacher_logit(distiller: Distiller) -> float:
     D = distiller.teacher.config.seq_len
     probe = (np.full((1, D), distiller.process.mask_id, dtype=np.int64)
              if distiller.process.masked else np.zeros((1, D), dtype=np.int64))
-    logits = teacher_logits(distiller.teacher, probe, 0.5, cfg.tau, cfg.top_p,
-                            cfg.delta, naive=cfg.naive_topp_mask)
+    logits = teacher_logits(distiller.teacher, probe, 0.5, cfg.tau, cfg.top_p, cfg.delta)
     return float(np.max(np.abs(logits)))
 

@@ -19,7 +19,7 @@ class NumericsError(ValueError):
 class RngState:
     """Counter-based random source.
 
-    A stream is identified by (seed, path); `split` appends to the path so
+    A stream is identified by (seed, path); `child` appends to the path so
     child streams never collide with the parent. Every draw derives a fresh
     Philox generator from (seed, path, counter), so the full state is three
     plain integers/tuples and serializes trivially.
@@ -28,9 +28,6 @@ class RngState:
     seed: int
     path: tuple = ()
     counter: int = field(default=0)
-
-    def split(self, n: int) -> list["RngState"]:
-        return [RngState(self.seed, self.path + (i,), 0) for i in range(n)]
 
     def child(self, tag: int) -> "RngState":
         return RngState(self.seed, self.path + (tag,), 0)

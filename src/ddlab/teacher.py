@@ -88,7 +88,7 @@ def train_teacher(dataset: SyntheticDataset, process: DiffusionProcess,
                   model_config: ModelConfig, train_config: TeacherTrainConfig,
                   rng: RngState, record_wallclock: bool = True):
     """Returns (trained Denoiser, log rows). Log: step, loss, eval_kl, wallclock_ms."""
-    init_rng, step_rng = rng.split(2)
+    init_rng, step_rng = rng.child(0), rng.child(1)
     model = Denoiser(model_config, init_rng)
     opt = AdamState.for_store(model.store)
     rows = []

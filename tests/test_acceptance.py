@@ -373,7 +373,7 @@ def test_accept_9_top_p_surgery():
 
     naive_cfg = DistillConfig(k=1, steps=4000, gen_lr=1e-3, aux_lr=3e-3,
                               aux_per_gen=2, soft_targets=True, top_p=0.85,
-                              naive_topp_mask=True)
+                              delta=1e20)
     naive = Distiller(teacher, CB, MASKED, naive_cfg, RngState(11), n_noise=8)
     with pytest.raises(DistillDivergence):
         for _ in range(4000):

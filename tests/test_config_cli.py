@@ -6,9 +6,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ddlab.cli import main
-from ddlab.config import (ConfigError, config_hash, load_config, parse_config,
+from ddlab.config import (SCHEMA, ConfigError, config_hash, load_config, parse_config,
                           to_text)
 
 BASE_CONFIG = """
@@ -117,7 +118,7 @@ def test_cli_divergence_exit_code(config_path, tmp_path):
     assert main(["train-teacher", "--config", config_path, "--out", out, "--seed", "3"]) == 0
     naive = tmp_path / "naive.ini"
     naive.write_text(BASE_CONFIG.replace(
-        "k = 1", "k = 1\ntop_p = 0.85\nnaive_topp_mask = true"))
+        "k = 1", "k = 1\ntop_p = 0.85\ndelta = 1e20"))
     code = main(["distill", "--config", str(naive), "--teacher",
                  os.path.join(out, "teacher.ckpt"), "--out", out, "--seed", "3"])
     assert code == 4
@@ -280,6 +281,8 @@ def test_cli_bad_value_is_config_error(tmp_path, old, new):
     ("gm_pairs = 20", "gm_pairs = 0"),
     ("gm_pairs = 20", "gm_pairs = 20\ngm_batch = 0"),
     ("n_samples = 2000", "n_samples = 500"),  # sample_entropy is a default metric
+    ("vocab = 2", "vocab = 0"),
+    ("seq_len = 2", "seq_len = 0"),
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, old, new):
     # counts, widths and ds that would fail later (or, for n_noise, pass silently)
@@ -432,3 +435,120 @@ def test_cli_resumed_run_logs_final_row(tmp_path):
     resumed_rows = open(os.path.join(resumed, "distill_log.csv")).read().splitlines()
     assert full_rows[-1].startswith("5,")
     assert resumed_rows[2:] == [full_rows[-1]]
+
+
+FIELDS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
+JUNK_VALUE = st.one_of(
+    st.integers(-2, 64).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "1e400", "-1e400", "", "true", "0x10", "1_0", "%", "%(kind)s"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(FIELDS), JUNK_VALUE, min_size=1, max_size=4))
+@example({("dataset", "vocab"): "0"})
+@example({("run", "out_dir"): "50%"})
+def test_parse_config_accepts_or_raises_config_error(overrides):
+    # any value in any field: parsing returns a config or raises ConfigError,
+    # which the CLI maps to exit 2; never another exception. Ints stay <= 64,
+    # so the dataset arrays that parsing builds stay small
+    sections = {section: {} for section in SCHEMA}
+    sections["dataset"].update(kind="correlated_bits", seq_len="2", vocab="2")
+    sections["process"]["kind"] = "masked"
+    for (section, key), raw in overrides.items():
+        sections[section][key] = raw
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+
+
+MARKOV_CONFIG = """
+[dataset]
+kind = markov_chain
+seq_len = 3
+vocab = 3
+
+[process]
+kind = masked
+
+[distill]
+k = 2
+
+[run]
+record_wallclock = false
+"""
+
+
+def _sweep_rows(config, out, *args):
+    assert main(["sweep", "--config", config, "--out", out, *args]) == 0
+    lines = open(os.path.join(out, "sweep.csv")).read().splitlines()[1:]
+    return list(csv.DictReader(lines))
+
+
+@pytest.mark.parametrize("axis, values", [("process.kind", ["masked", "uniform"]),
+                                          ("dataset.seq_len", ["2", "3"]),
+                                          ("dataset.seed", ["0", "1"])])
+def test_cli_sweep_point_is_its_own_config(tmp_path, axis, values):
+    # each point builds its own dataset and process: its row is the one-point
+    # sweep of the config with that value written in
+    base = tmp_path / "base.ini"
+    base.write_text(MARKOV_CONFIG)
+    rows = _sweep_rows(str(base), str(tmp_path / "sweep"), "--axis", axis,
+                       "--values", ",".join(values))
+    section, key = axis.split(".")
+    kls = []
+    for value, row in zip(values, rows):
+        point = load_config(str(base))
+        point.set(section, key, value)
+        path = tmp_path / f"point_{value}.ini"
+        path.write_text(to_text(point))
+        alone = _sweep_rows(str(path), str(tmp_path / f"alone_{value}"), "--axis", "distill.k",
+                            "--values", "2")
+        assert row["exact_kl"] == alone[0]["exact_kl"], (axis, value)
+        kls.append(row["exact_kl"])
+    assert kls[0] != kls[1]
+
+
+def test_cli_sweep_point_past_guard_exits_2(tmp_path):
+    # masked K=3 D=9: 4^9 chain states, past the guard; checked before any point runs
+    base = tmp_path / "base.ini"
+    base.write_text(MARKOV_CONFIG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(base), "--out", str(out), "--axis",
+                 "dataset.seq_len", "--values", "2,9"]) == 2
+    assert not (out / "sweep.csv").exists()
+
+
+def test_cli_sweep_creates_only_its_output_dir(tmp_path, monkeypatch):
+    # a point's [run] out_dir is not the sweep's: no directory per point
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.ini").write_text(MARKOV_CONFIG)
+    assert main(["sweep", "--config", "exp.ini", "--axis", "run.out_dir",
+                 "--values", "pa,pb"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini", "out"]
+
+
+def test_cli_sweep_checkpoint_row_is_eval_records(config_path, tmp_path):
+    # with --checkpoint a row holds that point's `eval --metrics exact_kl,gm` records
+    out = str(tmp_path / "out")
+    assert main(["train-teacher", "--config", config_path, "--out", out, "--seed", "8"]) == 0
+    teacher = os.path.join(out, "teacher.ckpt")
+    rows = _sweep_rows(config_path, str(tmp_path / "sweep"), "--seed", "8", "--checkpoint",
+                       teacher, "--axis", "eval.steps", "--values", "2,4")
+    assert [row["value"] for row in rows] == ["2", "4"]
+    for row in rows:
+        point = tmp_path / f"steps{row['value']}.ini"
+        point.write_text(BASE_CONFIG.replace("gm_pairs = 20",
+                                             f"gm_pairs = 20\nsteps = {row['value']}"))
+        eval_out = tmp_path / f"eval{row['value']}"
+        assert main(["eval", "--config", str(point), "--checkpoint", teacher, "--out",
+                     str(eval_out), "--seed", "8", "--metrics", "exact_kl,gm"]) == 0
+        exact, gm = [json.loads(line) for line in open(eval_out / "eval_report.json")]
+        assert row["exact_kl"] == f"{exact['value']:.10g}"
+        assert row["gm"] == f"{gm['value']:.10g}"
+        assert row["gm_stderr"] == f"{gm['stderr']:.10g}"

@@ -34,6 +34,13 @@ def test_enum_guard():
         all_sequences(20, 4)
 
 
+@pytest.mark.parametrize("kind", ["correlated_bits", "mode_mixture", "markov_chain"])
+@pytest.mark.parametrize("seq_len, vocab", [(2, 0), (0, 2)])
+def test_empty_space_is_dataset_error(kind, seq_len, vocab):
+    with pytest.raises(DatasetError, match="must be >= 1"):
+        make_dataset(kind, seq_len, vocab)
+
+
 def test_correlated_bits_exact_q():
     ds = make_dataset("correlated_bits", 2, 2)
     np.testing.assert_allclose(ds.exact_q(), [0.5, 0.0, 0.0, 0.5], atol=1e-12)

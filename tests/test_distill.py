@@ -101,7 +101,7 @@ def test_teacher_logits_bounded_by_delta():
 def test_teacher_logits_naive_sentinel():
     teacher = _toy_teacher(np.log([0.5, 0.3, 0.2]))
     out = teacher_logits(teacher, np.zeros((1, 1), dtype=np.int64), 0.5,
-                         top_p=0.7, naive=True)
+                         top_p=0.7, delta=1e20)
     assert out[0, 0, 2] < -1e19
 
 

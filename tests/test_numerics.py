@@ -94,7 +94,7 @@ def test_rng_streams_are_reproducible():
 
 def test_rng_split_streams_differ():
     parent = RngState(42)
-    c0, c1 = parent.split(2)
+    c0, c1 = parent.child(0), parent.child(1)
     assert not np.array_equal(c0.uniform(size=5), c1.uniform(size=5))
     assert not np.array_equal(RngState(42).uniform(size=5), c0.uniform(size=5))
 
