@@ -49,9 +49,6 @@ class ParamStore:
         sl, shape = self.segments[name]
         return self.grads[sl].reshape(shape)
 
-    def zero_grad(self) -> None:
-        self.grads[:] = 0.0
-
     def arrays(self) -> dict[str, np.ndarray]:
         """Named views into `values`."""
         return dict(self._views("values"))

@@ -57,8 +57,10 @@ class DistillConfig:
             raise DistillError("k must be >= 1")
         if not (0.0 < self.tau <= 1.0) or not (0.0 < self.top_p <= 1.0):
             raise DistillError("tau and top_p must lie in (0, 1]")
-        if self.delta < 0:
-            raise DistillError("delta must be >= 0")
+        if not 0.0 <= self.delta < np.inf:
+            raise DistillError("delta must be finite and >= 0")
+        if not (0.0 < self.gen_lr < np.inf and 0.0 < self.aux_lr < np.inf):
+            raise DistillError("gen_lr and aux_lr must be finite and > 0")
         if self.loss_variant not in ("cross_entropy", "posterior_kl"):
             raise DistillError(f"unknown loss variant {self.loss_variant!r}")
         if self.weighting not in ("unit", "mdlm"):

@@ -82,14 +82,11 @@ def kl(q: ExactDistribution, p: ExactDistribution, floor: float = 1e-12) -> floa
     return float(np.sum(qp[support] * (np.log(qp[support]) - np.log(pp[support]))))
 
 
-def tv(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.abs(np.asarray(a) - np.asarray(b))))
-
-
 # Largest block, in bytes, that the exact-chain DP and the oracle denoiser
 # build at once: both work through their source rows in chunks that fit it.
-# A few thousand states still take one block per step (a 1,024-state dense
-# joint is 8 MiB per draw); only larger spaces pay for more chunks.
+# A few thousand states still take one block per step (the two half joints
+# of 1,024 uniform states take 640 KiB per draw); only larger spaces pay for
+# more chunks.
 CHUNK_BYTES = 32 * 2 ** 20
 
 
@@ -150,27 +147,41 @@ def _chain_plan(keff: int, seq_len: int, mask_id: int | None) -> _ChainPlan:
     return _ChainPlan(states, order, bounds, tuple(groups), (n_free == 0).astype(np.float64))
 
 
-def _spread(out: np.ndarray, mass: np.ndarray, per_pos: np.ndarray,
+def _spread(out: np.ndarray, mass: np.ndarray, rows: np.ndarray,
             succ: np.ndarray | None) -> None:
     """Add one group's outgoing mass to `out`, in row chunks of CHUNK_BYTES.
 
-    per_pos (draws, N, m, keff) holds each source row's per-draw rows over its
-    m free positions. The joint over those positions is averaged over draws
-    after the product. Row n's share lands on succ[n], or on every state when
-    `succ` is None.
+    rows (draws, N, m, keff) holds one predict call's per-draw rows over each
+    source row's m free positions, and mass (N,) the source rows' mass times
+    that call's share of the draws; the joint over the m positions is
+    averaged over the call's draws after the product. Row n's share lands on
+    succ[n], or on every state when `succ` is None.
+
+    The all-free group adds sum_{r,n} mass[n] / draws * prod_d rows[r, n, d]
+    to every state, in the lexicographic order of its m = D positions, which
+    is one matrix product A.T @ B: A is the weighted joint over the first
+    h = ceil(m/2) positions and B the joint over the other m - h (a column of
+    ones when m = 1), one row per (draw, source row). The keff^m joint of a
+    row is never built.
     """
-    draws, n_rows, m, keff = per_pos.shape
+    draws, n_rows, m, keff = rows.shape
+    if succ is None:
+        h = (m + 1) // 2
+        step = max(1, CHUNK_BYTES // (8 * draws * (keff ** h + keff ** (m - h))))
+        for lo in range(0, n_rows, step):
+            chunk = rows[:, lo:lo + step]
+            a = _joint_rows(chunk[:, :, :h]) * (mass[lo:lo + step, None] / draws)
+            b = _joint_rows(chunk[:, :, h:]) if m > h else np.ones(chunk.shape[:2] + (1,))
+            out += (a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])).ravel()
+        return
     step = max(1, CHUNK_BYTES // (8 * keff ** m * (draws + 1)))
     for lo in range(0, n_rows, step):
         hi = lo + step
-        joint = _joint_rows(per_pos[:, lo:hi])
+        joint = _joint_rows(rows[:, lo:hi])
         joint = joint[0] if draws == 1 else joint.mean(axis=0)
-        if succ is None:
-            out += mass[lo:hi] @ joint
-        else:
-            # rows of one group can share successors, so the scatter must add repeats
-            out += np.bincount(succ[lo:hi].ravel(), (mass[lo:hi, None] * joint).ravel(),
-                               minlength=len(out))
+        # rows of one group can share successors, so the scatter must add repeats
+        out += np.bincount(succ[lo:hi].ravel(), (mass[lo:hi, None] * joint).ravel(),
+                           minlength=len(out))
 
 
 def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len: int,
@@ -184,13 +195,18 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
     states into one `predict` call (split by whole draws into calls of at most
     ENUM_GUARD rows), and the joint per-state transition is averaged over
     draws after the product across positions, since positions are only
-    independent given the noise.
+    independent given the noise. Each call's draws are spread as soon as it
+    returns, weighted by that call's share of the draws, so no buffer holds
+    the rows of every draw.
 
     Each state only reaches the states that differ from it in its free
     positions (all of them for a uniform chain, its MASK positions for a
     masked one), and fully revealed states never move. The DP visits only
-    those successors and builds them in row chunks of at most CHUNK_BYTES, so
-    every space up to ENUM_GUARD (20,000 states) runs in bounded memory.
+    those successors and builds them in row chunks of at most CHUNK_BYTES.
+    The all-free states, which reach every state, are spread by one matrix
+    product of two half-length joints (see `_spread`). So memory is bounded
+    per call, for every space up to ENUM_GUARD (20,000 states) and any
+    number of draws.
     """
     keff, K = process.vocab_eff, process.vocab
     n_states = keff ** seq_len
@@ -218,9 +234,21 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
         live = np.flatnonzero(dist[plan.order] > 0)
         src = plan.order[live]
         z_src = plan.states[src]
-        # whole draws per predict call, at most ENUM_GUARD rows unless one draw has more
+        mass = dist[src]
+        # the groups that hold mass: (live rows lo:hi, their free columns, successors)
+        groups = []
+        live_bounds = np.searchsorted(live, plan.bounds).tolist()
+        for (cols, succ), lo, hi, start, stop in zip(plan.groups, live_bounds, live_bounds[1:],
+                                                     plan.bounds, plan.bounds[1:]):
+            if lo == hi:
+                continue
+            if hi - lo < stop - start:  # only part of the group holds mass
+                rel = live[lo:hi] - start
+                cols, succ = cols[rel], None if succ is None else succ[rel]
+            groups.append((lo, hi, cols, succ))
+        # whole draws per predict call, at most ENUM_GUARD rows unless one draw has more;
+        # each call's draws are spread as soon as they return
         per_call = max(1, ENUM_GUARD // max(len(src), 1))
-        per_pos = np.empty((draws, len(src), seq_len, keff))
         for r in range(0, draws, per_call):
             if noise_draws is None:
                 xhat = predict(z_src, t)
@@ -230,20 +258,15 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
             xhat = np.asarray(xhat).reshape(-1, len(src), seq_len, K)
             if process.masked:
                 # the free positions of a masked chain all hold MASK
-                per_pos[r:r + per_call] = xhat @ table[-1]
+                per_pos = xhat @ table[-1]
             else:
-                per_pos[r:r + per_call] = np.einsum("rndc,ndcj->rndj", xhat, table[z_src])
-        mass = dist[src]
-        live_bounds = np.searchsorted(live, plan.bounds).tolist()
-        for (cols, succ), lo, hi, start, stop in zip(plan.groups, live_bounds, live_bounds[1:],
-                                                     plan.bounds, plan.bounds[1:]):
-            if lo == hi:
-                continue
-            if hi - lo < stop - start:  # only part of the group holds mass
-                rel = live[lo:hi] - start
-                cols, succ = cols[rel], None if succ is None else succ[rel]
-            rows = per_pos[:, lo:hi] if succ is None else per_pos[:, np.arange(lo, hi)[:, None], cols]
-            _spread(new, mass[lo:hi], rows, succ)
+                per_pos = np.einsum("rndc,ndcj->rndj", xhat, table[z_src])
+            # this call's share of the average over draws (exactly `mass` for one call)
+            share = mass * (len(per_pos) / draws)
+            for lo, hi, cols, succ in groups:
+                rows = (per_pos[:, lo:hi] if succ is None
+                        else per_pos[:, np.arange(lo, hi)[:, None], cols])
+                _spread(new, share[lo:hi], rows, succ)
         dist = new
 
     if process.masked:

@@ -28,6 +28,8 @@ class TeacherTrainConfig:
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if min(self.batch, self.eval_every, self.eval_steps) < 1:
             raise ValueError("batch, eval_every and eval_steps must be >= 1")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and > 0")
 
 
 def loss_weight(t: np.ndarray, process: DiffusionProcess, weighting: str) -> np.ndarray:

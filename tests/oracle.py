@@ -7,7 +7,8 @@ ops accept a mix of `Var` and plain arrays (with no `Var` an op falls
 through to numpy). On top of the ops it holds the tape forms of the network
 (`tape_forward`), of every training loss, and of the soft-x posterior, and
 `finite_diff_check`, which checks a gradient against central differences.
-The tests compare the package's closed forms against these.
+The tests compare the package's closed forms against these. Two small
+helpers only the tests use sit here too: `zero_grad` and `tv`.
 """
 
 from __future__ import annotations
@@ -283,6 +284,15 @@ def leaves(store: ParamStore) -> dict[str, Var]:
     return {name: Var(store.get(name), store_ref=(store, name)) for name in store.segments}
 
 
+def zero_grad(store: ParamStore) -> None:
+    store.grads[:] = 0.0
+
+
+def tv(a: np.ndarray, b: np.ndarray) -> float:
+    """Total variation distance between two probability vectors."""
+    return 0.5 * float(np.sum(np.abs(np.asarray(a) - np.asarray(b))))
+
+
 @dataclass
 class FiniteDiffReport:
     max_rel_error: float
@@ -301,7 +311,7 @@ def finite_diff_check(f, store: ParamStore, epsilon=1e-5, max_coords=None, rng=N
     It must be deterministic given the parameter values (fix its RngState).
     Checks all coordinates, or a random subset of `max_coords` for big stores.
     """
-    store.zero_grad()
+    zero_grad(store)
     loss = f()
     if isinstance(loss, Var):
         backward(loss)

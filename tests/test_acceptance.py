@@ -23,14 +23,14 @@ from ddlab.distill import (DistillConfig, DistillDivergence, Distiller, posterio
                            teacher_logits)
 from ddlab.metrics import (ExactDistribution, ReferenceModel,
                            exact_chain_distribution, factorized_oracle_chain,
-                           generator_output_entropy, gradient_moment, kl, tv)
+                           generator_output_entropy, gradient_moment, kl)
 from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState, log_softmax, one_hot, softmax
 from ddlab.process import (DiffusionProcess, NoiseSchedule, diffuse, posterior,
                            posterior_sample)
 from ddlab.teacher import TeacherTrainConfig, position_mask, train_teacher
 from oracle import (auxiliary_loss, auxiliary_loss_posterior, finite_diff_check,
-                    generator_loss, generator_loss_posterior, leaves, teacher_loss)
+                    generator_loss, generator_loss_posterior, leaves, teacher_loss, tv)
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 2, NoiseSchedule("linear"))

@@ -283,9 +283,16 @@ def test_cli_bad_value_is_config_error(tmp_path, old, new):
     ("n_samples = 2000", "n_samples = 500"),  # sample_entropy is a default metric
     ("vocab = 2", "vocab = 0"),
     ("seq_len = 2", "seq_len = 0"),
+    ("steps = 200", "steps = 200\nlr = nan"),
+    ("steps = 200", "steps = 200\nlr = -1e-3"),
+    ("steps = 60", "steps = 60\ngen_lr = inf"),
+    ("steps = 60", "steps = 60\naux_lr = nan"),
+    ("k = 1", "k = 1\ndelta = nan"),
+    ("k = 1", "k = 1\ndelta = inf"),
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, old, new):
-    # counts, widths and ds that would fail later (or, for n_noise, pass silently)
+    # counts, widths, ds, rates and delta that would fail later (or, for n_noise,
+    # pass silently)
     bad = tmp_path / "bad.ini"
     bad.write_text(BASE_CONFIG.replace(old, new, 1))
     with pytest.raises(ConfigError):

@@ -156,7 +156,7 @@ def test_auxiliary_loss_stationary_at_mixture():
         aux_logp = ad.log_softmax(leaves(store)["logits"])
         return auxiliary_loss(target, teacher_probs, ad.expand_dims(aux_logp, 0), MASKED)
 
-    store.zero_grad()
+    ad.zero_grad(store)
     backward(f())
     np.testing.assert_allclose(store.grads, 0.0, atol=1e-9)
 

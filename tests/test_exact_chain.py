@@ -114,7 +114,7 @@ def random_predict(K, D, keff, n_noise, seed):
 
 @pytest.mark.parametrize("kind", ["masked", "uniform"])
 @pytest.mark.parametrize("K", [2, 3, 4])
-@pytest.mark.parametrize("D", [2, 3, 5])
+@pytest.mark.parametrize("D", [1, 2, 3, 5])
 def test_sparse_chain_matches_dense_reference(kind, K, D, monkeypatch):
     process = DiffusionProcess(kind, K)
     predict = random_predict(K, D, process.vocab_eff, 2, seed=K * 10 + D)
@@ -145,7 +145,8 @@ def test_noise_draws_share_one_predict_call_per_step():
 
 
 def test_predict_calls_split_by_whole_draws_past_guard():
-    # 24 draws x 1,024 states exceed ENUM_GUARD rows: 19 draws, then 5
+    # 24 draws x 1,024 states exceed ENUM_GUARD rows: 19 draws, then 5, spread
+    # with shares 19/24 and 5/24 of the average over draws
     process = DiffusionProcess("uniform", 4)
     inner = random_predict(4, 5, 4, 2, seed=3)
     draws = RngState(6).normal((24, 2))
@@ -259,4 +260,25 @@ def test_largest_admitted_spaces_fit_address_limit(kind, seq_len, k):
     )
     assert abs(report["sums"][0] - 1.0) < 1e-9
     # the dense DP needed 1.8 GiB (masked) and 2 GiB (uniform) for one transition matrix
+    assert report["peak_mb"] < PEAK_BOUND_MB
+
+
+def test_many_noise_draws_fit_address_limit():
+    # 64 draws over 16,384 uniform states: one predict call per draw. A buffer of
+    # every draw's per-position rows held 235 MB and peaked at 311 MB; each call's
+    # draws are now spread as soon as they return.
+    report = run_limited(
+        "from ddlab.metrics import exact_chain_distribution\n"
+        "from ddlab.process import DiffusionProcess\n"
+        "gen = np.random.default_rng(0)\n"
+        "p = gen.uniform(0.1, 1.0, size=(4 ** 7, 7, 4))\n"
+        "p /= p.sum(axis=-1, keepdims=True)\n"
+        "def predict(z, t, eps):\n"
+        "    return p\n"
+        "draws = gen.normal(size=(64, 2))\n"
+        "dist = exact_chain_distribution(predict, DiffusionProcess('uniform', 4), 1, 7,\n"
+        "                                noise_draws=draws)\n"
+        "sums = [float(dist.probs.sum())]\n"
+    )
+    assert abs(report["sums"][0] - 1.0) < 1e-9
     assert report["peak_mb"] < PEAK_BOUND_MB

@@ -66,7 +66,7 @@ def test_denoiser_forward_equals_tape_forward(seq_len):
 
 
 def _tape_grads(model, z, t, noise, dlogits):
-    model.store.zero_grad()
+    ad.zero_grad(model.store)
     logits = tape_forward(model, z, t, noise=noise)
     ad.backward(ad.reduce_sum(ad.mul(logits, dlogits)))
     return model.store.grads.copy()
@@ -99,7 +99,7 @@ def _logits_leaf(shape, seed):
 
 
 def _assert_head_matches(loss_tape, store, loss, dlogits):
-    store.zero_grad()
+    ad.zero_grad(store)
     ad.backward(loss_tape)
     np.testing.assert_allclose(loss, float(loss_tape.value), rtol=1e-12)
     want = store.grad("logits")
@@ -181,7 +181,7 @@ def test_teacher_step_matches_tape_teacher_loss(process):
     model = Denoiser(cfg, RngState(80))
     model.store.values[:] = RngState(81).normal(model.store.values.shape) * 0.4
     x = make_dataset("markov_chain", 3, 3, seed=1).sample(64, RngState(82))
-    model.store.zero_grad()
+    ad.zero_grad(model.store)
     loss_tape = teacher_loss(model, x, process, RngState(83), params=leaves(model.store))
     ad.backward(loss_tape)
     tape = model.store.grads.copy()

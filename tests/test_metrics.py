@@ -9,10 +9,11 @@ from ddlab.metrics import (ExactDistribution, GradientMomentResult, MetricError,
                            ReferenceModel, exact_chain_distribution,
                            factorized_oracle_chain, generative_perplexity,
                            generator_output_entropy, gradient_moment, kl,
-                           oracle_denoiser, sample_entropy, tv)
+                           oracle_denoiser, sample_entropy)
 from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState
 from ddlab.process import DiffusionProcess, NoiseSchedule, ancestral_sample
+from oracle import tv
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 CB = make_dataset("correlated_bits", 2, 2)
