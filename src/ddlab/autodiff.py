@@ -1,7 +1,7 @@
 """Model parameters and their optimizer.
 
 `ParamStore` keeps every weight of a model in one flat vector, with a
-parallel gradient buffer and named segments; the fused backward in `nets`
+parallel gradient buffer and named views of both; the fused backward in `nets`
 writes the buffer and `adam_step` applies it. The reverse-mode tape that
 checks those gradients lives with the tests (`tests/oracle.py`), not here.
 """
@@ -15,69 +15,37 @@ import numpy as np
 from .numerics import NumericsError
 
 
-class AutodiffError(ValueError):
-    pass
-
-
 class ParamStore:
-    """Flat parameter vector with a parallel gradient buffer and named segments."""
+    """Every weight of a model in one flat vector, with a parallel gradient buffer.
 
-    def __init__(self):
-        self.values = np.zeros(0, dtype=np.float64)
-        self.grads = np.zeros(0, dtype=np.float64)
-        self.segments: dict[str, tuple[slice, tuple]] = {}
-        self._view_cache: dict[str, tuple] = {}
+    Built once from named arrays: `values` holds them back to back in the
+    dict's order, and `arrays()` and `grad_arrays()` are named views into
+    `values` and `grads`. Both buffers are only ever written in place, so
+    the views stay theirs.
+    """
 
-    def add(self, name: str, array: np.ndarray) -> None:
-        if name in self.segments:
-            raise AutodiffError(f"duplicate parameter block {name!r}")
-        array = np.asarray(array, dtype=np.float64)
-        start = self.values.size
-        self.values = np.concatenate([self.values, array.ravel()])
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        self.values = np.concatenate([a.ravel() for a in arrays.values()])
         self.grads = np.zeros_like(self.values)
-        self.segments[name] = (slice(start, start + array.size), array.shape)
-
-    def get(self, name: str) -> np.ndarray:
-        sl, shape = self.segments[name]
-        return self.values[sl].reshape(shape)
-
-    def set(self, name: str, array: np.ndarray) -> None:
-        sl, shape = self.segments[name]
-        self.values[sl] = np.asarray(array, dtype=np.float64).reshape(-1)
-
-    def grad(self, name: str) -> np.ndarray:
-        sl, shape = self.segments[name]
-        return self.grads[sl].reshape(shape)
+        self._value_views, self._grad_views = {}, {}
+        start = 0
+        for name, a in arrays.items():
+            self._value_views[name] = self.values[start:start + a.size].reshape(a.shape)
+            self._grad_views[name] = self.grads[start:start + a.size].reshape(a.shape)
+            start += a.size
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Named views into `values`."""
-        return dict(self._views("values"))
+        return dict(self._value_views)
 
     def grad_arrays(self) -> dict[str, np.ndarray]:
         """Named views into `grads`, for writing a gradient in place."""
-        return dict(self._views("grads"))
-
-    def _views(self, attr: str) -> dict[str, np.ndarray]:
-        # built once per flat array; rebuilt when `add` or a caller replaces it
-        flat = getattr(self, attr)
-        cached = self._view_cache.get(attr)
-        if cached is None or cached[0] is not flat:
-            cached = (flat, {name: flat[sl].reshape(shape)
-                             for name, (sl, shape) in self.segments.items()})
-            self._view_cache[attr] = cached
-        return cached[1]
+        return dict(self._grad_views)
 
     def copy(self) -> "ParamStore":
-        out = ParamStore()
-        out.values = self.values.copy()
-        out.grads = np.zeros_like(out.values)
-        out.segments = dict(self.segments)
-        return out
-
-    def copy_values_from(self, other: "ParamStore") -> None:
-        for name in self.segments:
-            if name in other.segments:
-                self.set(name, other.get(name))
+        """A store with the same layout and a copy of `values` (zero `grads`)."""
+        return ParamStore(self._value_views)
 
 
 @dataclass

@@ -269,6 +269,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     cfg, seed, out, dataset, process = _context(args)
     model, _ = _load_compatible(args.checkpoint, cfg)
     sampler = _model_sampler(model, cfg, process, _default_steps(model, cfg, args.steps))

@@ -87,10 +87,11 @@ class ExperimentConfig:
         """Build every object the values describe, so that a bad value is a ConfigError."""
         try:
             self.dataset()
-            self.process()
+            process = self.process()
             self.model_config()
             self.teacher_config()
-            self.distill_config()
+            if self.distill_config().soft_targets and not process.masked:
+                raise ValueError("[distill] soft_targets requires [process] kind = masked")
             self.eval_config()
         except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from None

@@ -56,24 +56,26 @@ def time_features(t, width: int, batch: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
-def _init_params(config: ModelConfig, rng: RngState) -> ParamStore:
-    store = ParamStore()
-    store.add("embed", rng.normal((config.vocab_in, config.emb)) / np.sqrt(config.emb))
-    store.add("time_w", rng.normal((config.time_width, config.emb)) / np.sqrt(config.time_width))
+def _init_params(config: ModelConfig, rng: RngState) -> dict[str, np.ndarray]:
+    """Freshly drawn weights, by name, in the store's layout order."""
+    params = {
+        "embed": rng.normal((config.vocab_in, config.emb)) / np.sqrt(config.emb),
+        "time_w": rng.normal((config.time_width, config.emb)) / np.sqrt(config.time_width),
+    }
     if config.n_noise > 0:
         # zero init: the generator starts exactly at its teacher
-        store.add("noise_w", np.zeros((config.n_noise, config.emb)))
+        params["noise_w"] = np.zeros((config.n_noise, config.emb))
     for b in range(config.depth):
-        store.add(f"blk{b}_ch_w1", rng.normal((config.emb, config.hidden)) / np.sqrt(config.emb))
-        store.add(f"blk{b}_ch_b1", np.zeros(config.hidden))
-        store.add(f"blk{b}_ch_w2", rng.normal((config.hidden, config.emb)) / np.sqrt(config.hidden))
-        store.add(f"blk{b}_ch_b2", np.zeros(config.emb))
-        store.add(f"blk{b}_pos_w", rng.normal((config.seq_len, config.seq_len)) / np.sqrt(config.seq_len))
-        store.add(f"blk{b}_pos_b", np.zeros(config.seq_len))
+        params[f"blk{b}_ch_w1"] = rng.normal((config.emb, config.hidden)) / np.sqrt(config.emb)
+        params[f"blk{b}_ch_b1"] = np.zeros(config.hidden)
+        params[f"blk{b}_ch_w2"] = rng.normal((config.hidden, config.emb)) / np.sqrt(config.hidden)
+        params[f"blk{b}_ch_b2"] = np.zeros(config.emb)
+        params[f"blk{b}_pos_w"] = rng.normal((config.seq_len, config.seq_len)) / np.sqrt(config.seq_len)
+        params[f"blk{b}_pos_b"] = np.zeros(config.seq_len)
     # zero head: the untrained model is exactly a uniform predictor
-    store.add("head_w", np.zeros((config.emb, config.vocab)))
-    store.add("head_b", np.zeros(config.vocab))
-    return store
+    params["head_w"] = np.zeros((config.emb, config.vocab))
+    params["head_b"] = np.zeros(config.vocab)
+    return params
 
 
 # Byte budget of the (rows, D, hidden) activation, the largest temporary of
@@ -152,7 +154,7 @@ def _fused_forward(config: ModelConfig, params, z, tfeat, noise, cache=None):
 def _fused_backward(config: ModelConfig, params, cache, dlogits, store: ParamStore) -> None:
     """Hand-derived backward of `_fused_forward` from d(loss)/d(logits).
 
-    Overwrites every segment of `store.grads` with this one loss's gradient.
+    Overwrites every block of `store.grads` with this one loss's gradient.
     """
     z, h = cache["z"], cache["h"]
     B, D = z.shape
@@ -201,7 +203,7 @@ class Denoiser:
     def __init__(self, config: ModelConfig, rng: RngState | None = None,
                  store: ParamStore | None = None):
         self.config = config
-        self.store = store if store is not None else _init_params(config, rng)
+        self.store = store if store is not None else ParamStore(_init_params(config, rng))
 
     def forward(self, z, t, noise=None, params=None, cache=None):
         """Logits (batch, D, K). `params` maps names to weight arrays (the
@@ -244,8 +246,7 @@ def init_from_teacher(teacher: Denoiser, n_noise: int) -> tuple[Denoiser, Denois
     the teacher exactly); the auxiliary is a plain parameter copy.
     """
     gen_cfg = replace(teacher.config, n_noise=n_noise)
-    gen_store = _init_params(gen_cfg, RngState(0))
-    gen_store.copy_values_from(teacher.store)
+    gen_store = ParamStore({**_init_params(gen_cfg, RngState(0)), **teacher.store.arrays()})
     aux = Denoiser(teacher.config, store=teacher.store.copy())
     return Denoiser(gen_cfg, store=gen_store), aux
 
@@ -298,8 +299,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, np.ndarray, dict]:
 def model_from_checkpoint(path):
     """Rebuild a Denoiser (with a noise input when n_noise > 0) from a checkpoint file."""
     cfg, values, extra = load_checkpoint(path)
-    store = _init_params(cfg, RngState(0))
-    if store.values.size != values.size:
+    model = Denoiser(cfg, RngState(0))
+    if model.store.values.size != values.size:
         raise ModelError("checkpoint parameter count does not match config")
-    store.values[:] = values
-    return Denoiser(cfg, store=store), extra
+    model.store.values[:] = values
+    return model, extra

@@ -18,12 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ddlab import numerics
-from ddlab.autodiff import AutodiffError, ParamStore
+from ddlab.autodiff import ParamStore
 from ddlab.distill import DistillError
 from ddlab.nets import Denoiser, _check_inputs, time_features
 from ddlab.numerics import one_hot
 from ddlab.process import DiffusionProcess, ProcessError
 from ddlab.teacher import _noised_batch
+
+
+class AutodiffError(ValueError):
+    pass
 
 
 class Var:
@@ -276,12 +280,12 @@ def backward(loss: Var) -> None:
                 parent.grad = parent.grad + contrib
         if node.store_ref is not None:
             store, name = node.store_ref
-            store.grads[store.segments[name][0]] += node.grad.ravel()
+            store.grad_arrays()[name] += node.grad
 
 
 def leaves(store: ParamStore) -> dict[str, Var]:
     """One leaf Var per parameter block; `backward` adds into `store.grads`."""
-    return {name: Var(store.get(name), store_ref=(store, name)) for name in store.segments}
+    return {name: Var(value, store_ref=(store, name)) for name, value in store.arrays().items()}
 
 
 def zero_grad(store: ParamStore) -> None:

@@ -115,8 +115,7 @@ def test_accept_1_gradient_correctness():
     target = rng.integers(0, 2, size=(2, 3))
 
     # L_GEN (generator side)
-    gen_store = ParamStore()
-    gen_store.add("logits", rng.normal((2, 3, 2)))
+    gen_store = ParamStore({"logits": rng.normal((2, 3, 2))})
 
     def f_gen():
         return generator_loss(ad.softmax(leaves(gen_store)["logits"]),
@@ -125,8 +124,7 @@ def test_accept_1_gradient_correctness():
     worst = max(worst, finite_diff_check(f_gen, gen_store).max_rel_error)
 
     # L_AUX (auxiliary side)
-    aux_store = ParamStore()
-    aux_store.add("logits", rng.normal((2, 3, 2)))
+    aux_store = ParamStore({"logits": rng.normal((2, 3, 2))})
 
     def f_aux():
         return auxiliary_loss(target, teacher_probs,
@@ -140,8 +138,7 @@ def test_accept_1_gradient_correctness():
     teacher_probs1 = softmax(rng.normal((2, 1, 2)))
     z1 = rng.integers(0, 2, size=(2, 1))
 
-    pg_store = ParamStore()
-    pg_store.add("logits", rng.normal((2, 1, 2)))
+    pg_store = ParamStore({"logits": rng.normal((2, 1, 2))})
 
     def f_pgen():
         return generator_loss_posterior(ad.softmax(leaves(pg_store)["logits"]),
@@ -150,8 +147,7 @@ def test_accept_1_gradient_correctness():
 
     worst = max(worst, finite_diff_check(f_pgen, pg_store).max_rel_error)
 
-    pa_store = ParamStore()
-    pa_store.add("logits", rng.normal((2, 1, 2)))
+    pa_store = ParamStore({"logits": rng.normal((2, 1, 2))})
 
     def f_paux():
         return auxiliary_loss_posterior(gen_probs, teacher_probs1,
@@ -168,11 +164,10 @@ def test_accept_1_gradient_correctness():
         s_h = rng.uniform(size=2)
         teacher_h, fixed_h = softmax(rng.normal((2, 3, 2))), softmax(rng.normal((2, 3, 2)))
         for gen_phase in (True, False):
-            head_store = ParamStore()
-            head_store.add("logits", rng.normal((2, 3, 2)))
+            head_store = ParamStore({"logits": rng.normal((2, 3, 2))})
 
             def f_head():
-                probs = softmax(head_store.get("logits"))
+                probs = softmax(head_store.arrays()["logits"])
                 gen, aux = (probs, fixed_h) if gen_phase else (fixed_h, probs)
                 loss, dlogits = posterior_kl_head(gen, teacher_h, aux, z_h, s_h, 1 / 64, process,
                                                   position_mask(z_h, process), gen_phase)

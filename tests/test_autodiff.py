@@ -10,15 +10,13 @@ import pytest
 
 import ddlab
 import oracle as ad
-from ddlab.autodiff import AdamState, AutodiffError, ParamStore, adam_step
+from ddlab.autodiff import AdamState, ParamStore, adam_step
 from ddlab.numerics import NumericsError, RngState, one_hot
-from oracle import Var, backward, finite_diff_check, leaves
+from oracle import AutodiffError, Var, backward, finite_diff_check, leaves
 
 
 def _store_with(name, array):
-    store = ParamStore()
-    store.add(name, array)
-    return store
+    return ParamStore({name: array})
 
 
 def test_ops_fall_through_without_vars():
@@ -37,7 +35,7 @@ def test_softmax_cross_entropy_gradient():
     loss = ad.mul(ad.reduce_sum(ad.mul(logp, one_hot(np.array(1), 3))), -1.0)
     backward(loss)
     expected = ad.softmax(v) - one_hot(np.array(1), 3)
-    np.testing.assert_allclose(store.grad("v"), expected, atol=1e-12)
+    np.testing.assert_allclose(store.grad_arrays()["v"], expected, atol=1e-12)
 
 
 def test_quadratic_gradient():
@@ -45,7 +43,7 @@ def test_quadratic_gradient():
     leaf = leaves(store)["x"]
     loss = ad.reduce_sum(ad.mul(leaf, leaf))
     backward(loss)
-    np.testing.assert_allclose(store.grad("x"), 2.0 * store.get("x"), atol=1e-12)
+    np.testing.assert_allclose(store.grad_arrays()["x"], 2.0 * store.arrays()["x"], atol=1e-12)
 
 
 def test_gradient_accumulates_across_reuse():
@@ -53,7 +51,7 @@ def test_gradient_accumulates_across_reuse():
     leaf = leaves(store)["x"]
     loss = ad.reduce_sum(ad.add(ad.mul(leaf, 3.0), ad.mul(leaf, leaf)))
     backward(loss)
-    np.testing.assert_allclose(store.grad("x"), [3.0 + 4.0], atol=1e-12)
+    np.testing.assert_allclose(store.grad_arrays()["x"], [3.0 + 4.0], atol=1e-12)
 
 
 def test_backward_is_linear():
@@ -67,7 +65,7 @@ def test_backward_is_linear():
         g = ad.reduce_sum(ad.exp(leaf))
         loss = {"f": f, "g": g, "fg": ad.add(f, g)}[combo]
         backward(loss)
-        grads.append(store.grad("x").copy())
+        grads.append(store.grad_arrays()["x"].copy())
     np.testing.assert_allclose(grads[2], grads[0] + grads[1], atol=1e-12)
 
 
@@ -78,7 +76,7 @@ def test_stop_gradient_blocks():
     loss = ad.reduce_sum(ad.mul(leaf, blocked))
     backward(loss)
     # blocked acts as a constant, so the grad is just blocked itself
-    np.testing.assert_allclose(store.grad("x"), store.get("x") ** 2, atol=1e-12)
+    np.testing.assert_allclose(store.grad_arrays()["x"], store.arrays()["x"] ** 2, atol=1e-12)
 
 
 def test_backward_rejects_nonscalar_and_plain_arrays():
@@ -137,23 +135,31 @@ def test_unbroadcast_bias_gradient():
 
 
 def test_param_store_segments():
-    store = ParamStore()
-    store.add("a", np.arange(6.0).reshape(2, 3))
-    store.add("b", np.array([7.0]))
-    assert store.values.size == 7
-    np.testing.assert_array_equal(store.get("a")[1], [3.0, 4.0, 5.0])
-    store.set("b", np.array([9.0]))
-    assert store.get("b")[0] == 9.0
-    with pytest.raises(AutodiffError):
-        store.add("a", np.zeros(2))
+    # the blocks lie back to back in the dict's order; each name is a view
+    # into `values` and `grads`
+    store = ParamStore({"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0])})
+    np.testing.assert_array_equal(store.values, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+    np.testing.assert_array_equal(store.grads, np.zeros(7))
+    params, grads = store.arrays(), store.grad_arrays()
+    assert list(params) == list(grads) == ["a", "b"]
+    assert params["a"].shape == grads["a"].shape == (2, 3)
+    np.testing.assert_array_equal(params["a"][1], [3.0, 4.0, 5.0])
+    params["b"][:] = 9.0
+    grads["a"][0, 2] = 1.0
+    assert store.values[6] == 9.0 and store.grads[2] == 1.0
+    store.values[0] = -1.0
+    assert store.arrays()["a"][0, 0] == -1.0
 
 
 def test_param_store_copy_is_independent():
-    store = ParamStore()
-    store.add("a", np.ones(3))
+    store = ParamStore({"a": np.ones(3), "b": np.zeros((2, 2))})
     dup = store.copy()
-    dup.set("a", np.zeros(3))
-    np.testing.assert_array_equal(store.get("a"), np.ones(3))
+    assert list(dup.arrays()) == ["a", "b"] and dup.arrays()["b"].shape == (2, 2)
+    np.testing.assert_array_equal(dup.values, store.values)
+    dup.arrays()["a"][:] = 0.0
+    dup.grads[:] = 5.0
+    np.testing.assert_array_equal(store.arrays()["a"], np.ones(3))
+    np.testing.assert_array_equal(store.grads, np.zeros(7))
 
 
 def test_adam_step_size_approaches_lr():

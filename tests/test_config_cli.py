@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ddlab.autodiff import AdamState, adam_step
 from ddlab.cli import main
 from ddlab.config import (SCHEMA, ConfigError, config_hash, load_config, parse_config,
                           to_text)
+from ddlab.distill import DistillDivergence, Distiller
+from ddlab.metrics import KNOWN_METRICS
+from ddlab.nets import Denoiser
+from ddlab.numerics import NumericsError, RngState
+from ddlab.process import ProcessError
+from ddlab.teacher import teacher_step
 
 BASE_CONFIG = """
 [dataset]
@@ -327,6 +334,27 @@ def test_cli_zero_sampling_steps_is_config_error(config_path, tmp_path):
                  os.path.join(out, "teacher.ckpt"), "--out", out, "--steps", "0"]) == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_cli_nonpositive_sample_count_is_config_error(config_path, tmp_path, n):
+    out = str(tmp_path / "out")
+    assert main(["train-teacher", "--config", config_path, "--out", out, "--seed", "3"]) == 0
+    assert main(["sample", "--config", config_path, "--checkpoint",
+                 os.path.join(out, "teacher.ckpt"), "--out", out, "--n", n]) == 2
+    assert not os.path.exists(os.path.join(out, "samples.csv"))
+
+
+def test_cli_soft_targets_with_uniform_process_is_config_error(tmp_path):
+    # rejected at parse time, not by the distiller after the teacher has trained
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BASE_CONFIG.replace("kind = masked", "kind = uniform")
+                   .replace("k = 1", "k = 1\nsoft_targets = true"))
+    with pytest.raises(ConfigError, match="soft_targets"):
+        load_config(str(bad))
+    out = tmp_path / "out"
+    assert main(["train-teacher", "--config", str(bad), "--out", str(out)]) == 2
+    assert not (out / "teacher.ckpt").exists()
+
+
 @pytest.mark.parametrize("seq_len", [10, 15])
 def test_cli_beyond_enumeration_guard(tmp_path, seq_len):
     # masked K=2: 2^10 sequences but 3^10 noisy states for the DP; at D=15 both exceed
@@ -451,16 +479,63 @@ JUNK_VALUE = st.one_of(
     st.sampled_from(["nan", "-inf", "1e400", "-1e400", "", "true", "0x10", "1_0", "%", "%(kind)s"]),
     st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
 )
+# the valid choices of the string and bool fields, so that cross-field
+# combinations of valid values come up too
+CHOICES = {
+    ("dataset", "kind"): st.sampled_from(["correlated_bits", "mode_mixture", "markov_chain"]),
+    ("process", "kind"): st.sampled_from(["masked", "uniform"]),
+    ("process", "schedule"): st.sampled_from(["linear", "cosine"]),
+    ("teacher", "weighting"): st.sampled_from(["unit", "mdlm"]),
+    ("distill", "weighting"): st.sampled_from(["unit", "mdlm"]),
+    ("distill", "loss_variant"): st.sampled_from(["cross_entropy", "posterior_kl"]),
+    ("eval", "metrics"): st.lists(st.sampled_from(KNOWN_METRICS), min_size=1, max_size=3,
+                                  unique=True).map(",".join),
+    **{(section, key): st.sampled_from(["true", "false"])
+       for section, keys in SCHEMA.items() for key, (typ, _) in keys.items() if typ is bool},
+}
+# valid choices in up to four string and bool fields with small ints in up to
+# two more, or junk in up to four fields
+CHOICE = st.sampled_from(sorted(CHOICES)).flatmap(lambda f: st.tuples(st.just(f), CHOICES[f]))
+OVERRIDES = st.one_of(
+    st.builds(lambda valid, ints: {**valid, **ints},
+              st.lists(CHOICE, min_size=1, max_size=4).map(dict),
+              st.dictionaries(st.sampled_from(FIELDS), st.integers(-2, 64).map(str),
+                              max_size=2)),
+    st.dictionaries(st.sampled_from(FIELDS), JUNK_VALUE, min_size=1, max_size=4))
+# the distill step builds a per-example posterior table of batch * (K+1)^2 * K
+# floats; at K = 64 that is 138 MB (~300 MB peak), so larger configs only parse
+STEP_TABLE_BYTES = 16 * 2 ** 20
+
+
+def _first_steps(cfg) -> None:
+    """What train-teacher and distill build, and their first updates: one
+    teacher step and one step of each distill phase."""
+    dataset, process, tcfg, dcfg = (cfg.dataset(), cfg.process(), cfg.teacher_config(),
+                                    cfg.distill_config())
+    if dcfg.batch * process.vocab_eff ** 2 * process.vocab * 8 > STEP_TABLE_BYTES:
+        return
+    teacher = Denoiser(cfg.model_config(n_noise=0), RngState(0))
+    rng = RngState(1)
+    try:
+        teacher_step(teacher, dataset.sample(tcfg.batch, rng), process, rng, tcfg.weighting)
+        adam_step(teacher.store, AdamState.for_store(teacher.store), lr=tcfg.lr)
+        dist = Distiller(teacher, dataset, process, dcfg, RngState(2),
+                         n_noise=cfg.get("model", "n_noise"))
+        assert [dist.step()[0] for _ in range(2)] == ["gen", "aux"]
+    except (DistillDivergence, NumericsError, ProcessError):
+        pass  # a numerical divergence, which the CLI maps to exit 4
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.sampled_from(FIELDS), JUNK_VALUE, min_size=1, max_size=4))
+@given(OVERRIDES)
 @example({("dataset", "vocab"): "0"})
 @example({("run", "out_dir"): "50%"})
+@example({("process", "kind"): "uniform", ("distill", "soft_targets"): "true"})
 def test_parse_config_accepts_or_raises_config_error(overrides):
     # any value in any field: parsing returns a config or raises ConfigError,
-    # which the CLI maps to exit 2; never another exception. Ints stay <= 64,
-    # so the dataset arrays that parsing builds stay small
+    # which the CLI maps to exit 2, and a config that parses runs its first
+    # steps; never another exception. Ints stay <= 64, so the dataset arrays
+    # that parsing builds stay small
     sections = {section: {} for section in SCHEMA}
     sections["dataset"].update(kind="correlated_bits", seq_len="2", vocab="2")
     sections["process"]["kind"] = "masked"
@@ -469,9 +544,10 @@ def test_parse_config_accepts_or_raises_config_error(overrides):
     text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for section, keys in sections.items())
     try:
-        parse_config(text)
+        cfg = parse_config(text)
     except ConfigError:
-        pass
+        return
+    _first_steps(cfg)
 
 
 MARKOV_CONFIG = """

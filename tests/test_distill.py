@@ -9,7 +9,8 @@ from ddlab.autodiff import ParamStore
 from ddlab.data import make_dataset
 from ddlab.distill import (DistillConfig, DistillError, Distiller, posterior_kl_head,
                            sample_times, teacher_logits)
-from ddlab.nets import Denoiser, ModelConfig, init_from_teacher
+from ddlab.nets import (Denoiser, ModelConfig, init_from_teacher, model_from_checkpoint,
+                        save_checkpoint)
 from ddlab.numerics import RngState, log_softmax, softmax
 from ddlab.process import DiffusionProcess, NoiseSchedule, ProcessError, ancestral_sample
 from ddlab.teacher import position_mask
@@ -124,8 +125,7 @@ def test_generator_loss_zero_at_aux_equals_teacher():
 
 
 def test_generator_loss_gradient_matches_finite_differences():
-    store = ParamStore()
-    store.add("logits", RngState(4).normal((2, 3, 2)))
+    store = ParamStore({"logits": RngState(4).normal((2, 3, 2))})
     teacher_logp = log_softmax(RngState(5).normal((2, 3, 2)))
     aux_logp = log_softmax(RngState(6).normal((2, 3, 2)))
 
@@ -149,8 +149,7 @@ def test_auxiliary_loss_stationary_at_mixture():
     teacher_probs = np.array([[[0.7, 0.3]]])
     target = np.array([[0]], dtype=np.int64)
     optimum = 0.5 * (np.array([[[1.0, 0.0]]]) + teacher_probs)
-    store = ParamStore()
-    store.add("logits", np.log(optimum[0]))
+    store = ParamStore({"logits": np.log(optimum[0])})
 
     def f():
         aux_logp = ad.log_softmax(leaves(store)["logits"])
@@ -172,8 +171,7 @@ def test_auxiliary_loss_soft_targets_masked_only():
 
 
 def test_auxiliary_loss_gradient_matches_finite_differences():
-    store = ParamStore()
-    store.add("logits", RngState(7).normal((2, 3, 2)))
+    store = ParamStore({"logits": RngState(7).normal((2, 3, 2))})
     teacher_probs = softmax(RngState(8).normal((2, 3, 2)))
     target = RngState(9).integers(0, 2, size=(2, 3))
 
@@ -191,8 +189,7 @@ def test_posterior_variant_gradients_match_finite_differences():
     teacher_probs = softmax(RngState(10).normal((2, 1, 2)))
     s, ds = 0.5, 1.0 / 64.0
 
-    gen_store = ParamStore()
-    gen_store.add("logits", RngState(11).normal((2, 1, 2)))
+    gen_store = ParamStore({"logits": RngState(11).normal((2, 1, 2))})
     aux_probs = softmax(RngState(12).normal((2, 1, 2)))
 
     def f_gen():
@@ -203,8 +200,7 @@ def test_posterior_variant_gradients_match_finite_differences():
     report = finite_diff_check(f_gen, gen_store)
     assert report.max_rel_error < 1e-4, report
 
-    aux_store = ParamStore()
-    aux_store.add("logits", RngState(13).normal((2, 1, 2)))
+    aux_store = ParamStore({"logits": RngState(13).normal((2, 1, 2))})
     gen_probs = softmax(RngState(14).normal((2, 1, 2)))
 
     def f_aux():
@@ -339,6 +335,51 @@ def test_distiller_state_round_trip(tmp_path):
                                   dist_b.generator.store.values)
     np.testing.assert_array_equal(dist_a.auxiliary.store.values,
                                   dist_b.auxiliary.store.values)
+
+
+def _assert_views_read_buffers(store):
+    # each named view is the slice of the flat buffer at its place in the layout
+    start = 0
+    for (name, value), grad in zip(store.arrays().items(), store.grad_arrays().values()):
+        stop = start + value.size
+        assert np.shares_memory(value, store.values), name
+        assert np.shares_memory(grad, store.grads), name
+        np.testing.assert_array_equal(value.ravel(), store.values[start:stop])
+        np.testing.assert_array_equal(grad.ravel(), store.grads[start:stop])
+        start = stop
+    assert start == store.values.size == store.grads.size
+
+
+def test_store_views_follow_in_place_updates(tmp_path):
+    # adam_step, load_state_file and model_from_checkpoint write the flat
+    # buffers in place: the named views read every update, and a copy taken
+    # earlier keeps its own values
+    dist = _make_distiller(n_noise=4, steps=8)
+    state = tmp_path / "state.npz"
+    dist.save_state(state)
+    store = dist.generator.store
+    initial, before = store.values.copy(), store.copy()
+
+    assert dist.step()[0] == "gen"  # fused backward into grads, adam_step on values
+    assert np.any(store.grads != 0.0) and not np.array_equal(store.values, initial)
+    _assert_views_read_buffers(store)
+    np.testing.assert_array_equal(before.values, initial)
+    stepped, stepped_values = store.copy(), store.values.copy()
+
+    dist.load_state_file(state)
+    np.testing.assert_array_equal(store.values, initial)
+    _assert_views_read_buffers(store)
+    np.testing.assert_array_equal(stepped.values, stepped_values)
+
+    ckpt = tmp_path / "gen.ckpt"
+    save_checkpoint(ckpt, dist.generator.config, stepped)
+    model, _ = model_from_checkpoint(ckpt)
+    np.testing.assert_array_equal(model.store.values, stepped_values)
+    _assert_views_read_buffers(model.store)
+    z, noise = np.array([[2, 2], [0, 2]]), RngState(25).normal((2, 4))
+    np.testing.assert_array_equal(model.forward(z, 0.5, noise=noise),
+                                  dist.generator.forward(z, 0.5, noise=noise,
+                                                         params=stepped.arrays()))
 
 
 def test_distiller_run_logs():

@@ -69,7 +69,7 @@ def _tape_grads(model, z, t, noise, dlogits):
     ad.zero_grad(model.store)
     logits = tape_forward(model, z, t, noise=noise)
     ad.backward(ad.reduce_sum(ad.mul(logits, dlogits)))
-    return model.store.grads.copy()
+    return {name: g.copy() for name, g in model.store.grad_arrays().items()}
 
 
 @pytest.mark.parametrize("masked", [True, False])
@@ -81,20 +81,19 @@ def test_fused_gradients_match_tape(masked, n_noise, depth):
     dlogits = RngState(40).normal((64, model.config.seq_len, model.config.vocab))
     tape = _tape_grads(model, z, t, noise, dlogits)
 
-    model.store.grads[:] = np.nan  # the fused backward overwrites every segment
+    model.store.grads[:] = np.nan  # the fused backward overwrites every block
     cache = {}
     logits = model.forward(z, t, noise=noise, params=model.store.arrays(), cache=cache)
     model.backward(cache, dlogits)
-    for name in model.store.segments:
-        want, got = tape[model.store.segments[name][0]], model.store.grad(name).ravel()
+    for name, got in model.store.grad_arrays().items():
+        want = tape[name]
         scale = max(np.max(np.abs(want)), 1e-300)
         assert np.max(np.abs(got - want)) / scale < 1e-10, name
     assert np.array_equal(logits, model.forward(z, t, noise=noise))
 
 
 def _logits_leaf(shape, seed):
-    store = ParamStore()
-    store.add("logits", RngState(seed).normal(shape))
+    store = ParamStore({"logits": RngState(seed).normal(shape)})
     return store, leaves(store)["logits"]
 
 
@@ -102,7 +101,7 @@ def _assert_head_matches(loss_tape, store, loss, dlogits):
     ad.zero_grad(store)
     ad.backward(loss_tape)
     np.testing.assert_allclose(loss, float(loss_tape.value), rtol=1e-12)
-    want = store.grad("logits")
+    want = store.grad_arrays()["logits"]
     assert np.max(np.abs(dlogits - want)) / np.max(np.abs(want)) < 1e-10
 
 

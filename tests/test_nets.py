@@ -47,7 +47,7 @@ def test_forward_validates_tokens():
 def test_cross_position_mixing():
     model = Denoiser(CFG, RngState(1))
     # perturb the head so outputs are not uniform
-    model.store.set("head_w", RngState(2).normal((CFG.emb, CFG.vocab)))
+    model.store.arrays()["head_w"][:] = RngState(2).normal((CFG.emb, CFG.vocab))
     a = model.forward(np.array([[0, 0, 0]]), 0.5)
     b = model.forward(np.array([[0, 0, 1]]), 0.5)
     # output at position 0 must react to the change at position 2
@@ -56,7 +56,7 @@ def test_cross_position_mixing():
 
 def test_output_depends_on_time():
     model = Denoiser(CFG, RngState(1))
-    model.store.set("head_w", RngState(2).normal((CFG.emb, CFG.vocab)))
+    model.store.arrays()["head_w"][:] = RngState(2).normal((CFG.emb, CFG.vocab))
     z = np.array([[0, 1, CFG.vocab]])
     assert np.max(np.abs(model.forward(z, 0.1) - model.forward(z, 0.9))) > 1e-8
 
@@ -68,8 +68,8 @@ def test_generator_noise_projection():
     base = gen.probs(z, 1.0, noise=np.zeros((1, 4)))
     # zero-initialized projection: noise has no effect until trained
     np.testing.assert_allclose(gen.probs(z, 1.0, noise=np.ones((1, 4))), base, atol=1e-12)
-    gen.store.set("noise_w", RngState(4).normal((4, gen_cfg.emb)))
-    gen.store.set("head_w", RngState(5).normal((gen_cfg.emb, 2)))
+    gen.store.arrays()["noise_w"][:] = RngState(4).normal((4, gen_cfg.emb))
+    gen.store.arrays()["head_w"][:] = RngState(5).normal((gen_cfg.emb, 2))
     changed = gen.probs(z, 1.0, noise=np.ones((1, 4)))
     assert np.max(np.abs(changed - gen.probs(z, 1.0, noise=np.zeros((1, 4))))) > 1e-8
 
@@ -85,7 +85,7 @@ def test_noise_shape_enforced():
 
 def test_init_from_teacher_matches_bit_for_bit():
     teacher = Denoiser(CFG, RngState(6))
-    teacher.store.set("head_w", RngState(7).normal((CFG.emb, CFG.vocab)))
+    teacher.store.arrays()["head_w"][:] = RngState(7).normal((CFG.emb, CFG.vocab))
     gen, aux = init_from_teacher(teacher, n_noise=8)
     z = np.array([[2, 0, 2], [1, 2, 2]])
     for t in (0.25, 1.0):

@@ -172,14 +172,13 @@ def test_posterior_differentiable_in_soft_x():
     # Posterior.vjp against central differences, through a softmax of logits;
     # revealed positions (carry-over) have an exactly zero gradient both ways
     for process in (MASKED, UNIFORM):
-        store = ParamStore()
-        store.add("logits", RngState(6).normal((2, 3, 2)))
+        store = ParamStore({"logits": RngState(6).normal((2, 3, 2))})
         z_t = np.array([[2, 0, 2], [1, 2, 2]]) % process.vocab_eff
         post = Posterior(z_t, np.array([0.2, 0.1]), np.array([0.7, 0.4]), process)
         grad = np.arange(6.0 * process.vocab_eff).reshape(2, 3, -1)
 
         def f():
-            soft = softmax(store.get("logits"))
+            soft = softmax(store.arrays()["logits"])
             probs = post(soft)
             dsoft = post.vjp(soft, probs, grad)
             store.grads[:] = (soft * (dsoft - np.sum(soft * dsoft, axis=-1,
