@@ -23,7 +23,7 @@ from .metrics import (ExactDistribution, MetricError, ReferenceModel, chain_enum
                       generative_perplexity, generator_output_entropy, gradient_moment, kl,
                       sample_entropy)
 from .nets import Denoiser, ModelError, model_from_checkpoint, save_checkpoint
-from .numerics import NumericsError, RngState, softmax
+from .numerics import NumericsError, RngState, distinct_rows, softmax
 from .process import DiffusionProcess, ProcessError, ancestral_sample
 from .teacher import train_teacher
 
@@ -39,13 +39,18 @@ class ArtifactError(RuntimeError):
 
 
 def _write_csv(path, fieldnames, rows, cfg: ExperimentConfig, seed: int) -> None:
+    """The version line, the header and one line per row. A row is a dict by
+    field name (a missing field is left empty, a float takes 10 significant
+    digits) or a list of values in field order, written as given."""
+    def cells(row: dict) -> list:
+        return [f"{v:.10g}" if isinstance(v, float) else v
+                for v in (row.get(f) for f in fieldnames)]
+
     with open(path, "w", newline="") as fh:
         fh.write(f"# {CSV_VERSION} config_hash={config_hash(cfg)} seed={seed}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.10g}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows(row if isinstance(row, list) else cells(row) for row in rows)
 
 
 class Context(NamedTuple):
@@ -76,11 +81,16 @@ def _exact_q(dataset) -> ExactDistribution:
     return ExactDistribution(dataset.vocab, dataset.seq_len, dataset.exact_q())
 
 
-def _teacher_chain_kl(model, dataset, process, steps: int, dcfg) -> float:
+def _teacher_predict(model: Denoiser, dcfg):
+    """predict(z, t): the teacher's probabilities after [distill] logit surgery."""
     def predict(z, t):
         return softmax(teacher_logits(model, z, t, dcfg.tau, dcfg.top_p, dcfg.delta))
+    return predict
 
-    p = exact_chain_distribution(predict, process, steps, dataset.seq_len)
+
+def _teacher_chain_kl(model, dataset, process, steps: int, dcfg) -> float:
+    # the DP's rows are already distinct, and its digits depend on their batch order
+    p = exact_chain_distribution(_teacher_predict(model, dcfg), process, steps, dataset.seq_len)
     return kl(_exact_q(dataset), p)
 
 
@@ -196,15 +206,20 @@ def cmd_distill(args) -> int:
 
 def _model_sampler(model: Denoiser, cfg: ExperimentConfig, process, steps: int):
     """sampler(n, rng): `steps`-step ancestral samples, with fresh input noise
-    per step for a generator, after logit surgery for a teacher."""
-    dcfg = cfg.distill_config()
+    per step for a generator, after logit surgery for a teacher.
+
+    A teacher's prediction depends on (z, t) alone, so it runs once per
+    distinct row of z: at most vocab_eff^D rows per step, whatever n is.
+    """
     n_noise = model.config.n_noise
+    teacher = _teacher_predict(model, cfg.distill_config())
 
     def sampler(n, rng):
         def predict(z, t):
             if n_noise > 0:
                 return model.probs(z, t, noise=rng.normal((len(z), n_noise)))
-            return softmax(teacher_logits(model, z, t, dcfg.tau, dcfg.top_p, dcfg.delta))
+            rows, inverse = distinct_rows(z)
+            return teacher(rows, t)[inverse]
 
         return ancestral_sample(predict, process, steps, rng, n, model.config.seq_len)
     return sampler
@@ -275,9 +290,8 @@ def cmd_sample(args) -> int:
     model, _ = _load_compatible(args.checkpoint, cfg)
     sampler = _model_sampler(model, cfg, process, _default_steps(model, cfg, args.steps))
     samples = sampler(args.n, RngState(seed).child(4))
-    rows = [{f"pos{d}": int(tok) for d, tok in enumerate(row)} for row in samples]
     _write_csv(os.path.join(out, "samples.csv"),
-               [f"pos{d}" for d in range(dataset.seq_len)], rows, cfg, seed)
+               [f"pos{d}" for d in range(dataset.seq_len)], samples.tolist(), cfg, seed)
     print(f"{args.n} samples written to {out}/samples.csv")
     return 0
 

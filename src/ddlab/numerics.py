@@ -1,6 +1,7 @@
-"""Stable categorical primitives and a splittable, replayable RNG.
+"""Stable categorical primitives, a splittable, replayable RNG, and the
+grouping of an array's distinct rows.
 
-Everything is float64. All functions are pure: given the same inputs
+Every probability is float64. All functions are pure: given the same inputs
 (including RNG state) they return bit-identical results.
 """
 
@@ -97,6 +98,22 @@ def categorical_sample(probs: np.ndarray, rng: RngState) -> np.ndarray:
     g = rng.gumbel(size=probs.shape)
     logp = np.log(np.maximum(probs, 1e-300))
     return np.argmax(logp + g, axis=-1)
+
+
+def distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse): the distinct rows of the 2-D array `z` in lexicographic
+    order, and for each row of `z` the index of its copy, so rows[inverse] == z.
+
+    The same result as np.unique(z, axis=0, return_inverse=True), from one
+    lexsort over the columns, which is several times faster on small columns.
+    """
+    order = np.lexsort(z.T[::-1])
+    ordered = z[order]
+    first = np.ones(len(z), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(z), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def one_hot(tokens: np.ndarray, num_classes: int) -> np.ndarray:

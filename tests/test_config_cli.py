@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddlab.autodiff import AdamState, adam_step
-from ddlab.cli import main
+from ddlab.cli import _model_sampler, main
 from ddlab.config import (SCHEMA, ConfigError, config_hash, load_config, parse_config,
                           to_text)
-from ddlab.distill import DistillDivergence, Distiller
+from ddlab.distill import DistillDivergence, Distiller, teacher_logits
 from ddlab.metrics import KNOWN_METRICS
 from ddlab.nets import Denoiser
-from ddlab.numerics import NumericsError, RngState
-from ddlab.process import ProcessError
+from ddlab.numerics import NumericsError, RngState, softmax
+from ddlab.process import ProcessError, ancestral_sample
 from ddlab.teacher import teacher_step
 
 BASE_CONFIG = """
@@ -407,6 +407,53 @@ def test_cli_pins_malloc_thresholds():
     block = np.empty(3 * 2 ** 20)
     assert libc.mallinfo2().hblkhd == before
     del block
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dataset, kind, n", [
+    ("correlated_bits\nseq_len = 2\nvocab = 2", "masked", 10_000),
+    ("markov_chain\nseq_len = 5\nvocab = 4", "uniform", 5_000)],
+    ids=["masked_bits", "uniform_markov"])
+def test_teacher_sampler_forwards_each_distinct_row_once(monkeypatch, dataset, kind, n, seed):
+    cfg = parse_config(f"[dataset]\nkind = {dataset}\n[process]\nkind = {kind}\n"
+                       "[distill]\ntau = 0.8\ntop_p = 0.9\n")
+    teacher = Denoiser(cfg.model_config(n_noise=0), RngState(seed))
+    head = teacher.store.arrays()["head_w"]
+    head[:] = RngState(seed).child(1).normal(head.shape)
+    process, dcfg, D = cfg.process(), cfg.distill_config(), cfg.get("dataset", "seq_len")
+
+    def plain(z, t):
+        return softmax(teacher_logits(teacher, z, t, dcfg.tau, dcfg.top_p, dcfg.delta))
+
+    want = ancestral_sample(plain, process, 16, RngState(seed).child(4), n, D)
+    rows = []
+    forward = Denoiser.forward
+
+    def counted(self, z, *args, **kwargs):
+        rows.append(len(z))
+        return forward(self, z, *args, **kwargs)
+
+    monkeypatch.setattr(Denoiser, "forward", counted)
+    got = _model_sampler(teacher, cfg, process, 16)(n, RngState(seed).child(4))
+    np.testing.assert_array_equal(got, want)
+    assert len(rows) == 16
+    assert max(rows) <= min(n, process.vocab_eff ** D), rows
+
+
+def test_cli_samples_csv_golden_bytes(config_path, tmp_path, monkeypatch):
+    import ddlab.cli as cli
+
+    samples = np.array([[1, 0], [0, 0], [1, 1]])
+    monkeypatch.setattr(cli, "_load_compatible", lambda path, cfg: (None, {}))
+    monkeypatch.setattr(cli, "_model_sampler",
+                        lambda model, cfg, process, steps: lambda n, rng: samples[:n])
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", config_path, "--checkpoint", "unused.ckpt",
+                 "--out", out, "--seed", "7", "--n", "3", "--steps", "1"]) == 0
+    chash = config_hash(load_config(config_path))
+    with open(os.path.join(out, "samples.csv"), "rb") as fh:
+        assert fh.read() == (f"# ddlab-csv v1 config_hash={chash} seed=7\n"
+                             "pos0,pos1\r\n1,0\r\n0,0\r\n1,1\r\n").encode()
 
 
 def test_cli_sweep_bad_value_is_config_error(config_path, tmp_path):

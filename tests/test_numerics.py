@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from ddlab.numerics import (NumericsError, RngState, categorical_sample,
+from ddlab.numerics import (NumericsError, RngState, categorical_sample, distinct_rows,
                             entropy, log_softmax, one_hot,
                             softmax)
 
@@ -117,3 +118,17 @@ def test_rng_gumbel_location():
     g = RngState(3).gumbel(size=200_000)
     # Gumbel(0,1) mean is the Euler-Mascheroni constant
     assert abs(np.mean(g) - 0.5772) < 0.01
+
+
+@given(hnp.arrays(np.int64, st.tuples(st.integers(1, 40), st.integers(1, 64)),
+                  elements=st.integers(0, 4)))
+@example(np.array([[3, 1, 4]]))  # one row
+@example(np.full((9, 5), 2))  # every row equal
+# D = 64 over 5 tokens: a base-5 code of a row would overflow int64
+@example(np.array([[i % 5 for i in range(64)], [4] * 64, [i % 5 for i in range(64)]]))
+def test_distinct_rows_matches_unique(z):
+    rows, inverse = distinct_rows(z)
+    want_rows, want_inverse = np.unique(z, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(inverse, want_inverse.ravel())
+    np.testing.assert_array_equal(rows[inverse], z)

@@ -5,6 +5,10 @@ import os
 import subprocess
 import sys
 
+from ddlab.config import load_config
+from ddlab.nets import Denoiser, save_checkpoint
+from ddlab.numerics import RngState
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # names the tracer looks up that no longer exist: the tape left the package
@@ -17,17 +21,36 @@ STALE = {"ddlab.cli.student_sample", "ddlab.teacher.backward", "ddlab.distill.ba
              "log_softmax", "softmax", "stop_gradient"))}
 
 
-def test_tracer_installs_without_new_missing_names():
-    # in a subprocess: install() rebinds names in the package's modules
+def _traced(body: str):
+    """The last stdout line of `body`, as JSON, run in a subprocess after
+    Tracer.install() (which rebinds names in the package's modules)."""
     paths = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
     script = ("import json, sys\n"
               f"sys.path[:0] = {paths!r}\n"
               "from tracer import Tracer\n"
               "tracer = Tracer()\n"
-              "tracer.install()\n"
-              "print(json.dumps(tracer.missing))\n")
+              "tracer.install()\n" + body)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    missing = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_installs_without_new_missing_names():
+    missing = _traced("print(json.dumps(tracer.missing))\n")
     assert set(missing) <= STALE, sorted(set(missing) - STALE)
+
+
+def test_tracer_counts_sample_csv_rows(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[dataset]\nkind = correlated_bits\nseq_len = 2\nvocab = 2\n"
+                   "[process]\nkind = masked\n")
+    teacher = Denoiser(load_config(str(ini)).model_config(n_noise=0), RngState(0))
+    ckpt = str(tmp_path / "teacher.ckpt")
+    save_checkpoint(ckpt, teacher.config, teacher.store)
+    argv = ["sample", "--config", str(ini), "--checkpoint", ckpt, "--out", str(tmp_path),
+            "--n", "37"]
+    rc, rows = _traced("from ddlab.cli import main\n"
+                       f"rc = main({argv!r})\n"
+                       "print(json.dumps([rc, tracer.layer_metrics()['cli.write_csv_rows']]))\n")
+    assert (rc, rows) == (0, 37)
