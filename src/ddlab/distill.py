@@ -186,6 +186,11 @@ def posterior_kl_head(gen_probs: np.ndarray, teacher_probs: np.ndarray,
     return loss, probs * (dprobs - np.sum(probs * dprobs, axis=-1, keepdims=True))
 
 
+# the state file's array for each field of a log row
+LOG_ARRAYS = {"step": "log_step", "phase": "log_phase", "loss": "log_loss",
+              "gen_output_entropy": "log_entropy", "eval_kl": "log_eval_kl"}
+
+
 class Distiller:
     """Owns the three models and the alternating optimization state."""
 
@@ -266,9 +271,15 @@ class Distiller:
             raise DistillDivergence(i, cfg.tau, cfg.top_p, max_logit, val)
 
     def run(self, steps: int, eval_fn=None) -> list[dict]:
-        """Run `steps` alternating updates, recording a CSV-ready log."""
+        """Run `steps` alternating updates, recording a CSV-ready log.
+
+        The log holds a row every `eval_every` steps and one for the last
+        step, so runs of a and then b steps log what one run of a + b does.
+        """
         cfg = self.config
         end = self.step_index + steps
+        if steps > 0 and self.log_rows and self.log_rows[-1]["step"] % cfg.eval_every:
+            self.log_rows.pop()  # an earlier run's last step, no longer the last
         for _ in range(steps):
             phase, loss = self.step()
             i = self.step_index - 1
@@ -292,13 +303,16 @@ class Distiller:
 
     def save_state(self, path) -> None:
         rng = self.rng.state()
+        log = {key: np.array([row[field] for row in self.log_rows])
+               for field, key in LOG_ARRAYS.items()}
         np.savez(path, step_index=self.step_index, **self._state_arrays(),
                  gen_step=self.gen_opt.step, aux_step=self.aux_opt.step,
                  rng_seed=rng["seed"], rng_path=np.asarray(rng["path"], dtype=np.int64),
-                 rng_counter=rng["counter"])
+                 rng_counter=rng["counter"], **log)
 
     def load_state_file(self, path) -> None:
-        """Restore a `save_state` file in place.
+        """Restore a `save_state` file in place, the log included (a file
+        written before the log was saved restores an empty one).
 
         Raises OSError, ValueError, KeyError or TypeError for a file that is
         not a state of these models, before changing anything.
@@ -312,12 +326,18 @@ class Distiller:
                                  f"the model needs {dest.shape}")
         rng = RngState.from_state({"seed": state["rng_seed"], "path": state["rng_path"],
                                    "counter": state["rng_counter"]})
+        columns = ([state[key].tolist() for key in LOG_ARRAYS.values()]
+                   if "log_step" in state else [])
+        if len({len(col) for col in columns}) > 1:
+            raise ValueError("the state's log arrays differ in length")
+        log_rows = [dict(zip(LOG_ARRAYS, row)) for row in zip(*columns)]
         for key, dest in targets.items():
             dest[:] = state[key]
         self.step_index = int(state["step_index"])
         self.gen_opt.step = int(state["gen_step"])
         self.aux_opt.step = int(state["aux_step"])
         self.rng = rng
+        self.log_rows = log_rows
 
 
 def _max_abs_teacher_logit(distiller: Distiller) -> float:

@@ -337,8 +337,8 @@ class ReferenceModel:
 
     def _prev(self, x: np.ndarray) -> np.ndarray:
         prev = np.empty_like(x)
-        prev[:, 0] = self.vocab  # BOS
-        prev[:, 1:] = x[:, :-1]
+        prev[..., 0] = self.vocab  # BOS
+        prev[..., 1:] = x[..., :-1]
         return prev
 
     def fit_exact(self, q: ExactDistribution) -> None:
@@ -363,15 +363,21 @@ class ReferenceModel:
         return out
 
     def mean_grad_log_likelihood(self, x: np.ndarray) -> np.ndarray:
-        """Batch-mean gradient of log p(x) wrt logits, flattened."""
+        """Per-batch mean gradient of log p(x) wrt logits: x (n, B, D) -> (n, n_params).
+
+        The gradient of one sequence is one_hot(x_d) - p[d, prev_d] at each
+        (d, prev_d); a batch's sum is its token counts per (d, prev, c) minus
+        its counts per (d, prev) times p, both one bincount over all batches.
+        """
         x = np.asarray(x)
-        prev = self._prev(x)
+        n, B, D = x.shape
+        K = self.vocab
+        cell = (np.arange(n)[:, None, None] * D + np.arange(D)) * (K + 1) + self._prev(x)
+        counts = np.bincount((cell * K + x).ravel(), minlength=n * self.n_params)
+        prev_counts = np.bincount(cell.ravel(), minlength=n * D * (K + 1))
         p = np.exp(log_softmax(self.logits, axis=-1))
-        grad = np.zeros_like(self.logits)
-        for d in range(self.seq_len):
-            np.add.at(grad[d], (prev[:, d], x[:, d]), 1.0)
-            np.add.at(grad[d], (prev[:, d],), -p[d, prev[:, d]])
-        return grad.ravel() / x.shape[0]
+        grad = counts.reshape(n, D, K + 1, K) - prev_counts.reshape(n, D, K + 1, 1) * p
+        return grad.reshape(n, -1) / B
 
 
 @dataclass
@@ -382,25 +388,36 @@ class GradientMomentResult:
     warning: str | None = None
 
 
+# Most rows one `gradient_moment` sampler call draws; a call holds whole
+# pairs of batches, so memory is bounded for any number of pairs.
+GM_ROWS_PER_CALL = 2 ** 15
+
+
 def gradient_moment(ref: ReferenceModel, gen_sampler, data_sampler, batch_size: int,
                     n_pairs: int, rng: RngState) -> GradientMomentResult:
     """Paired-minibatch estimator of the centered squared gradient norm.
 
-    Each pair draws four independent batches (two generated, two data) and
-    takes the inner product of the two centered batch-mean gradients, which
-    is unbiased for the squared norm of the centered expectation.
+    Each pair takes two generated and two data batches and the inner product
+    of the two centered batch-mean gradients, which is unbiased for the
+    squared norm of the centered expectation. Each side draws its batches in
+    one sampler call, the generator's first, and batches 2i and 2i + 1 form
+    pair i. Past GM_ROWS_PER_CALL rows, or CHUNK_BYTES of per-batch
+    gradients, a side takes more calls, each of whole pairs.
     """
     if not ref.fitted:
         raise MetricError("reference model is untrained")
+    per_call = max(1, min(GM_ROWS_PER_CALL // (2 * batch_size),
+                          CHUNK_BYTES // (2 * 8 * ref.n_params)))
     vals = np.empty(n_pairs)
     data_grad = np.zeros(ref.n_params)
-    for i in range(n_pairs):
-        g1 = ref.mean_grad_log_likelihood(gen_sampler(batch_size, rng))
-        q1 = ref.mean_grad_log_likelihood(data_sampler(batch_size, rng))
-        g2 = ref.mean_grad_log_likelihood(gen_sampler(batch_size, rng))
-        q2 = ref.mean_grad_log_likelihood(data_sampler(batch_size, rng))
-        vals[i] = float((g1 - q1) @ (g2 - q2))
-        data_grad += q1 + q2
+    for lo in range(0, n_pairs, per_call):
+        n = 2 * min(per_call, n_pairs - lo)  # batches per side
+        g, q = [ref.mean_grad_log_likelihood(
+                    np.reshape(sampler(n * batch_size, rng), (n, batch_size, -1)))
+                for sampler in (gen_sampler, data_sampler)]
+        diff = g - q
+        vals[lo:lo + n // 2] = np.einsum("ij,ij->i", diff[0::2], diff[1::2])
+        data_grad += q.sum(axis=0)
     data_grad /= 2 * n_pairs
     norm = float(np.linalg.norm(data_grad))
     warning = None

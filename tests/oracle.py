@@ -8,7 +8,8 @@ through to numpy). On top of the ops it holds the tape forms of the network
 (`tape_forward`), of every training loss, and of the soft-x posterior, and
 `finite_diff_check`, which checks a gradient against central differences.
 The tests compare the package's closed forms against these. Two small
-helpers only the tests use sit here too: `zero_grad` and `tv`.
+helpers only the tests use sit here too, `zero_grad` and `tv`, and the
+per-batch loop form of the reference model's gradient.
 """
 
 from __future__ import annotations
@@ -295,6 +296,22 @@ def zero_grad(store: ParamStore) -> None:
 def tv(a: np.ndarray, b: np.ndarray) -> float:
     """Total variation distance between two probability vectors."""
     return 0.5 * float(np.sum(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def mean_grad_log_likelihood(ref, x: np.ndarray) -> np.ndarray:
+    """Batch-mean gradient of `ref`'s log p(x) wrt its logits, flattened, for
+    one batch x (B, D): the per-position scatter loop that
+    `ReferenceModel.mean_grad_log_likelihood` replaces with two bincounts."""
+    x = np.asarray(x)
+    prev = np.empty_like(x)
+    prev[:, 0] = ref.vocab  # BOS
+    prev[:, 1:] = x[:, :-1]
+    p = np.exp(numerics.log_softmax(ref.logits, axis=-1))
+    grad = np.zeros_like(ref.logits)
+    for d in range(ref.seq_len):
+        np.add.at(grad[d], (prev[:, d], x[:, d]), 1.0)
+        np.add.at(grad[d], (prev[:, d],), -p[d, prev[:, d]])
+    return grad.ravel() / x.shape[0]
 
 
 @dataclass

@@ -245,13 +245,29 @@ def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
     fresh = cli._student_chain_kl(gen, cfg.dataset(), cfg.process(), 1, 8, 7)
     assert table.decode().splitlines()[2].split(",")[1] == f"{fresh:.10g}"
 
-    # resumed at the last step: no probe runs, so the table computes every row
-    calls.clear()
-    resumed = str(tmp_path / "resumed")
-    assert main(["distill", "--config", config_path, "--teacher", teacher, "--out", resumed,
-                 "--seed", "7", "--resume", os.path.join(out, "distill_state.npz")]) == 0
+    # resumed at the last step: no probe runs, and the restored log's last
+    # probe saw the final generator
+    def resume(state, name):
+        calls.clear()
+        resumed = str(tmp_path / name)
+        assert main(["distill", "--config", config_path, "--teacher", teacher,
+                     "--out", resumed, "--seed", "7", "--resume", state]) == 0
+        assert open(os.path.join(resumed, "student_kl_vs_k.csv"), "rb").read() == table
+        return open(os.path.join(resumed, "distill_log.csv"), "rb").read()
+
+    state = os.path.join(out, "distill_state.npz")
+    log = resume(state, "resumed")
+    assert len(calls) == 3 + 2
+    assert log == open(os.path.join(out, "distill_log.csv"), "rb").read()
+
+    # a state file without the log arrays resumes with an empty log, so the
+    # table computes every row
+    with np.load(state) as z:
+        old_state = {key: z[key] for key in z.files if not key.startswith("log_")}
+    np.savez(tmp_path / "old_state.npz", **old_state)
+    log = resume(str(tmp_path / "old_state.npz"), "resumed_old")
     assert len(calls) == 3 + 3
-    assert open(os.path.join(resumed, "student_kl_vs_k.csv"), "rb").read() == table
+    assert len(log.splitlines()) == 2  # the version line and the header
 
 
 @pytest.mark.parametrize("old, new", [
@@ -486,10 +502,11 @@ def test_cli_bad_resume_is_artifact_error(config_path, tmp_path):
     np.save(npy, np.zeros(3))
     with np.load(os.path.join(out, "distill_state.npz")) as z:
         state = {k: z[k] for k in z.files}
+    np.savez(tmp_path / "short_log.npz", **{**state, "log_loss": state["log_loss"][:-1]})
     state["gen_m"] = state["gen_m"][:-1]
     truncated = tmp_path / "truncated.npz"
     np.savez(truncated, **state)
-    for bad in (garbage, npy, truncated, tmp_path / "missing.npz"):
+    for bad in (garbage, npy, truncated, tmp_path / "short_log.npz", tmp_path / "missing.npz"):
         code = main(["distill", "--config", config_path, "--teacher",
                      os.path.join(out, "teacher.ckpt"), "--out", out, "--seed", "2",
                      "--resume", str(bad)])
@@ -497,7 +514,7 @@ def test_cli_bad_resume_is_artifact_error(config_path, tmp_path):
 
 
 def test_cli_resumed_run_logs_final_row(tmp_path):
-    # 3 steps, then resume to 6: the last log row is the full 6-step run's row for step 5
+    # 3 steps, then resume to 6: the log is the full 6-step run's, byte for byte
     def config(steps):
         path = tmp_path / f"steps{steps}.ini"
         path.write_text(BASE_CONFIG.replace("steps = 60", f"steps = {steps}"))
@@ -513,10 +530,9 @@ def test_cli_resumed_run_logs_final_row(tmp_path):
                  "--out", part, "--seed", "4"]) == 0
     assert main(["distill", "--config", config(6), "--teacher", teacher, "--out", resumed,
                  "--seed", "4", "--resume", os.path.join(part, "distill_state.npz")]) == 0
-    full_rows = open(os.path.join(full, "distill_log.csv")).read().splitlines()
-    resumed_rows = open(os.path.join(resumed, "distill_log.csv")).read().splitlines()
-    assert full_rows[-1].startswith("5,")
-    assert resumed_rows[2:] == [full_rows[-1]]
+    full_log = open(os.path.join(full, "distill_log.csv"), "rb").read()
+    assert full_log.splitlines()[-1].startswith(b"5,")
+    assert open(os.path.join(resumed, "distill_log.csv"), "rb").read() == full_log
 
 
 FIELDS = [(section, key) for section, keys in SCHEMA.items() for key in keys]

@@ -3,17 +3,18 @@ Monte Carlo sampling so that no analytic path verifies itself."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from ddlab.data import make_dataset, seq_index
-from ddlab.metrics import (ExactDistribution, GradientMomentResult, MetricError,
-                           ReferenceModel, exact_chain_distribution,
+from ddlab.data import all_sequences, make_dataset, seq_index
+from ddlab.metrics import (GM_ROWS_PER_CALL, ExactDistribution, GradientMomentResult,
+                           MetricError, ReferenceModel, exact_chain_distribution,
                            factorized_oracle_chain, generative_perplexity,
                            generator_output_entropy, gradient_moment, kl,
                            oracle_denoiser, sample_entropy)
 from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState
 from ddlab.process import DiffusionProcess, NoiseSchedule, ancestral_sample
-from oracle import tv
+from oracle import mean_grad_log_likelihood as oracle_mean_grad, tv
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 CB = make_dataset("correlated_bits", 2, 2)
@@ -107,9 +108,9 @@ def test_reference_model_fit_exact_is_stationary():
     ref.fit_exact(Q)
     # expected data gradient at the MLE is exactly zero
     seqs = np.array([[0, 0], [1, 1]])
-    grad = 0.5 * (ref.mean_grad_log_likelihood(seqs[:1]) +
-                  ref.mean_grad_log_likelihood(seqs[1:]))
-    np.testing.assert_allclose(grad, 0.0, atol=1e-9)
+    grad = ref.mean_grad_log_likelihood(seqs[:, None])  # one batch per sequence
+    assert grad.shape == (2, ref.n_params)
+    np.testing.assert_allclose(0.5 * grad.sum(axis=0), 0.0, atol=1e-9)
     # and the model reproduces q exactly
     np.testing.assert_allclose(np.exp(ref.log_likelihood(seqs)), [0.5, 0.5], atol=1e-9)
 
@@ -119,7 +120,7 @@ def test_reference_model_gradients_match_finite_differences():
     ref.logits = RngState(2).normal(ref.logits.shape)
     ref.fitted = True
     x = np.array([[0, 1], [1, 1], [0, 0]])
-    analytic = ref.mean_grad_log_likelihood(x)
+    analytic = ref.mean_grad_log_likelihood(x[None])[0]
     eps = 1e-6
     flat = ref.logits.ravel()
     for i in RngState(3).integers(0, flat.size, size=8):
@@ -130,6 +131,21 @@ def test_reference_model_gradients_match_finite_differences():
         down = float(np.mean(ref.log_likelihood(x)))
         flat[i] = orig
         np.testing.assert_allclose(analytic[i], (up - down) / (2 * eps), atol=1e-4)
+
+
+@given(n=st.integers(1, 4), B=st.sampled_from([1, 3, 64]), D=st.sampled_from([1, 2, 5]),
+       K=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 16))
+def test_reference_model_batched_gradient_matches_loop(n, B, D, K, seed):
+    # the two bincounts give each batch's mean gradient as the per-position scatter loop does
+    rng = RngState(seed)
+    ref = ReferenceModel(D, K)
+    ref.logits = 2.0 * rng.normal(ref.logits.shape)
+    ref.fitted = True
+    x = rng.integers(0, K, size=(n, B, D))
+    batched = ref.mean_grad_log_likelihood(x)
+    assert batched.shape == (n, ref.n_params)
+    loop = np.stack([oracle_mean_grad(ref, batch) for batch in x])
+    np.testing.assert_allclose(batched, loop, rtol=0, atol=1e-14)
 
 
 def test_gradient_moment_soundness():
@@ -156,6 +172,52 @@ def test_gradient_moment_soundness():
     assert gm_unif.estimate > 5 * gm_unif.stderr
     assert gm_data.estimate < gm_corr.estimate < gm_unif.estimate
     assert isinstance(gm_data, GradientMomentResult)
+
+
+def _recording_sampler(side, seed, calls):
+    """sampler(n, rng) that logs (side, n, rows) and returns fixed rows: data
+    rows for "data", uniform tokens otherwise, from its own stream per call."""
+    def sampler(n, rng):
+        r = RngState(seed).child(len(calls))
+        rows = CB.sample(n, r) if side == "data" else r.integers(0, 2, size=(n, 2))
+        calls.append((side, n, rows))
+        return rows
+    return sampler
+
+
+def test_gradient_moment_draws_each_side_in_one_call():
+    ref = ReferenceModel(2, 2)
+    ref.fit_exact(Q)
+    calls = []
+    gradient_moment(ref, _recording_sampler("gen", 1, calls),
+                    _recording_sampler("data", 2, calls), 64, 200, RngState(0))
+    assert [(side, n) for side, n, _ in calls] == [("gen", 25_600), ("data", 25_600)]
+
+
+def test_gradient_moment_calls_hold_whole_pairs_within_budget():
+    # batch size 1 and more pairs than one call's row budget holds
+    ref = ReferenceModel(2, 2)
+    ref.fit_exact(Q)
+    calls = []
+    n_pairs = GM_ROWS_PER_CALL // 2 + 3
+    res = gradient_moment(ref, _recording_sampler("gen", 1, calls),
+                          _recording_sampler("data", 2, calls), 1, n_pairs, RngState(0))
+    assert [(side, n) for side, n, _ in calls] == [
+        ("gen", GM_ROWS_PER_CALL), ("data", GM_ROWS_PER_CALL), ("gen", 6), ("data", 6)]
+
+    # by hand: batch 2i pairs with batch 2i + 1, in draw order; a batch of
+    # one sequence has that sequence's gradient
+    per_seq = np.stack([oracle_mean_grad(ref, seq[None]) for seq in all_sequences(2, 2)])
+
+    def batch_grads(side):
+        return per_seq[seq_index(np.concatenate([r for s, _, r in calls if s == side]), 2)]
+
+    g, q = batch_grads("gen"), batch_grads("data")
+    vals = np.array([(g[2 * i] - q[2 * i]) @ (g[2 * i + 1] - q[2 * i + 1])
+                     for i in range(n_pairs)])
+    np.testing.assert_allclose(res.estimate, vals.mean(), rtol=1e-12)
+    np.testing.assert_allclose(res.stderr, vals.std(ddof=1) / np.sqrt(n_pairs), rtol=1e-12)
+    np.testing.assert_allclose(res.data_grad_norm, np.linalg.norm(q.mean(axis=0)), rtol=1e-12)
 
 
 def test_gradient_moment_requires_fitted_reference():
