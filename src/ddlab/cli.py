@@ -82,14 +82,16 @@ def _exact_q(dataset) -> ExactDistribution:
 
 
 def _teacher_predict(model: Denoiser, dcfg):
-    """predict(z, t): the teacher's probabilities after [distill] logit surgery."""
+    """predict(z, t): the teacher's probabilities after [distill] logit surgery,
+    for a scalar t or one time per row."""
     def predict(z, t):
         return softmax(teacher_logits(model, z, t, dcfg.tau, dcfg.top_p, dcfg.delta))
     return predict
 
 
 def _teacher_chain_kl(model, dataset, process, steps: int, dcfg) -> float:
-    # the DP's rows are already distinct, and its digits depend on their batch order
+    # no distinct_rows grouping: the DP's rows are already distinct, and on small
+    # spaces it hands the teacher several steps per call with per-row times
     p = exact_chain_distribution(_teacher_predict(model, dcfg), process, steps, dataset.seq_len)
     return kl(_exact_q(dataset), p)
 

@@ -88,6 +88,12 @@ def kl(q: ExactDistribution, p: ExactDistribution, floor: float = 1e-12) -> floa
 # of 1,024 uniform states take 640 KiB per draw); only larger spaces pay for
 # more chunks.
 CHUNK_BYTES = 32 * 2 ** 20
+# Most rows of one exact-chain `predict` call that holds several chain steps.
+# Past ~1k rows a network forward costs ~3.2 us per row at D=5 for every
+# block size from 64 KiB to 4 MiB (2-core x86-64), so larger calls save no
+# dispatch; calls of ENUM_GUARD rows raised the markov_uniform benchmark's
+# peak RSS from 55.1 to 62.1 MB, calls of 1,024 rows left it at 55.1 MB.
+PREDICT_ROWS = 1024
 
 
 def _joint_rows(per_pos: np.ndarray) -> np.ndarray:
@@ -147,41 +153,121 @@ def _chain_plan(keff: int, seq_len: int, mask_id: int | None) -> _ChainPlan:
     return _ChainPlan(states, order, bounds, tuple(groups), (n_free == 0).astype(np.float64))
 
 
-def _spread(out: np.ndarray, mass: np.ndarray, rows: np.ndarray,
-            succ: np.ndarray | None) -> None:
-    """Add one group's outgoing mass to `out`, in row chunks of CHUNK_BYTES.
+def _joints(rows: np.ndarray, succ: np.ndarray | None):
+    """The joints over the m free positions of one group's rows (..., draws, N, m, keff).
 
-    rows (draws, N, m, keff) holds one predict call's per-draw rows over each
-    source row's m free positions, and mass (N,) the source rows' mass times
-    that call's share of the draws; the joint over the m positions is
-    averaged over the call's draws after the product. Row n's share lands on
-    succ[n], or on every state when `succ` is None.
+    With successors: (J,), the joint averaged over draws after the product,
+    (..., N, keff^m). For the all-free group (`succ` None): (A, B), per draw
+    the joints over the first h = ceil(m/2) positions and over the other
+    m - h (a column of ones when m = 1), (..., draws, N, keff^h) and
+    (..., draws, N, keff^(m-h)); the keff^m joint is never built.
+    """
+    if succ is None:
+        h = (rows.shape[-2] + 1) // 2
+        b = (_joint_rows(rows[..., h:, :]) if rows.shape[-2] > h
+             else np.ones(rows.shape[:-2] + (1,)))
+        return _joint_rows(rows[..., :h, :]), b
+    joint = _joint_rows(rows)
+    return (joint[..., 0, :, :] if rows.shape[-4] == 1 else joint.mean(axis=-3),)
+
+
+def _scatter(out: np.ndarray, mass: np.ndarray, joints, succ: np.ndarray | None) -> None:
+    """Add one group's outgoing mass to `out`: mass (N,) times its `_joints`
+    (without leading axes). Row n's share lands on succ[n], or on every state
+    when `succ` is None.
 
     The all-free group adds sum_{r,n} mass[n] / draws * prod_d rows[r, n, d]
     to every state, in the lexicographic order of its m = D positions, which
-    is one matrix product A.T @ B: A is the weighted joint over the first
-    h = ceil(m/2) positions and B the joint over the other m - h (a column of
-    ones when m = 1), one row per (draw, source row). The keff^m joint of a
-    row is never built.
+    is the matrix product A.T @ B over one row per (draw, source row), with A
+    weighted by mass / draws.
     """
-    draws, n_rows, m, keff = rows.shape
     if succ is None:
-        h = (m + 1) // 2
-        step = max(1, CHUNK_BYTES // (8 * draws * (keff ** h + keff ** (m - h))))
-        for lo in range(0, n_rows, step):
-            chunk = rows[:, lo:lo + step]
-            a = _joint_rows(chunk[:, :, :h]) * (mass[lo:lo + step, None] / draws)
-            b = _joint_rows(chunk[:, :, h:]) if m > h else np.ones(chunk.shape[:2] + (1,))
-            out += (a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])).ravel()
+        a, b = joints
+        # in place: A (perhaps a view of the rows it came from) serves this
+        # scatter alone, and no later step reads those rows
+        a *= mass[:, None] / len(a)
+        out += (a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])).ravel()
         return
-    step = max(1, CHUNK_BYTES // (8 * keff ** m * (draws + 1)))
+    # rows of one group can share successors, so the scatter must add repeats
+    out += np.bincount(succ.ravel(), (mass[:, None] * joints[0]).ravel(), minlength=len(out))
+
+
+def _spread(out: np.ndarray, mass: np.ndarray, rows: np.ndarray,
+            succ: np.ndarray | None) -> None:
+    """`_scatter` of one group's rows (draws, N, m, keff), in row chunks whose
+    joints fit CHUNK_BYTES."""
+    draws, n_rows, m, keff = rows.shape
+    h = (m + 1) // 2
+    width = draws * (keff ** h + keff ** (m - h)) if succ is None else keff ** m * (draws + 1)
+    step = max(1, CHUNK_BYTES // (8 * width))
     for lo in range(0, n_rows, step):
         hi = lo + step
-        joint = _joint_rows(rows[:, lo:hi])
-        joint = joint[0] if draws == 1 else joint.mean(axis=0)
-        # rows of one group can share successors, so the scatter must add repeats
-        out += np.bincount(succ[lo:hi].ravel(), (mass[lo:hi, None] * joint).ravel(),
-                           minlength=len(out))
+        _scatter(out, mass[lo:hi], _joints(rows[:, lo:hi], succ),
+                 None if succ is None else succ[lo:hi])
+
+
+def _live_groups(plan: _ChainPlan, live: np.ndarray) -> list:
+    """The groups that hold the rows `live` (sorted indices into plan.order):
+    per group (lo, hi, cols, succ), its rows lo:hi of `live` with their free
+    columns and successors."""
+    groups = []
+    live_bounds = np.searchsorted(live, plan.bounds).tolist()
+    for (cols, succ), lo, hi, start, stop in zip(plan.groups, live_bounds, live_bounds[1:],
+                                                 plan.bounds, plan.bounds[1:]):
+        if lo == hi:
+            continue
+        if hi - lo < stop - start:  # only part of the group is live
+            rel = live[lo:hi] - start
+            cols, succ = cols[rel], None if succ is None else succ[rel]
+        groups.append((lo, hi, cols, succ))
+    return groups
+
+
+def _group_rows(per_pos: np.ndarray, lo: int, hi: int, cols: np.ndarray,
+                succ: np.ndarray | None) -> np.ndarray:
+    """Rows lo:hi of per_pos (..., N, D, keff) at their free columns: (..., hi - lo, m, keff)."""
+    if succ is None:  # the all-free group: every column
+        return per_pos[..., lo:hi, :, :]
+    return per_pos[..., np.arange(lo, hi)[:, None], cols, :]
+
+
+def _per_pos(process: DiffusionProcess, xhat: np.ndarray, tables: np.ndarray,
+             z: np.ndarray) -> np.ndarray:
+    """q(z_s | z_t = z, xhat) per position: xhat (n, draws, N, D, K) of n steps
+    and their posterior tables (n, keff, K, keff) -> (n, draws, N, D, keff)."""
+    if process.masked:
+        # the free positions of a masked chain all hold MASK
+        return xhat @ tables[:, -1, None, None]
+    return np.einsum("srndc,sndcj->srndj", xhat, tables[:, z])
+
+
+def _call_predict(predict, z: np.ndarray, times, eps: np.ndarray | None, K: int) -> np.ndarray:
+    """One `predict` call on every state of z (N, D) under every draw of eps
+    (r, n_noise), or none, at each of `times`: rows time-major, then draw,
+    then state. Returns (len(times), r, N, D, K); one time goes as a float."""
+    n, N = len(times), len(z)
+    draws = 1 if eps is None else len(eps)
+    t = float(times[0]) if n == 1 else np.repeat(times, draws * N)
+    # the repeats, built once each: a call of one step and one draw passes z as is
+    z = np.tile(z, (n * draws, 1)) if n * draws > 1 else z
+    if eps is None:
+        xhat = predict(z, t)
+    else:
+        eps = np.repeat(eps, N, axis=0)
+        xhat = predict(z, t, np.tile(eps, (n, 1)) if n > 1 else eps)
+    return np.asarray(xhat).reshape(n, draws, N, -1, K)
+
+
+def _draw_calls(predict, z: np.ndarray, t: float, noise_draws: np.ndarray | None, K: int):
+    """Yield (xhat (1, r, N, D, K), r / draws) for z at time t, by whole draws
+    in calls of at most ENUM_GUARD rows unless one draw has more."""
+    if noise_draws is None:
+        yield _call_predict(predict, z, [t], None, K), 1.0
+        return
+    per_call = max(1, ENUM_GUARD // max(len(z), 1))
+    for r in range(0, len(noise_draws), per_call):
+        eps = noise_draws[r:r + per_call]
+        yield _call_predict(predict, z, [t], eps, K), len(eps) / len(noise_draws)
 
 
 def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len: int,
@@ -189,24 +275,34 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
     """Exact distribution of the k-step ancestral sampler, by dynamic programming.
 
     `predict(z_states, t)` (or `predict(z_states, t, eps)` when `noise_draws`
-    is given) returns per-position probabilities over the data vocabulary for
-    a batch of states. Noise-conditioned generators are marginalized over the
-    fixed `noise_draws` rows: each chain step stacks the draws over the live
-    states into one `predict` call (split by whole draws into calls of at most
-    ENUM_GUARD rows), and the joint per-state transition is averaged over
-    draws after the product across positions, since positions are only
-    independent given the noise. Each call's draws are spread as soon as it
-    returns, weighted by that call's share of the draws, so no buffer holds
-    the rows of every draw.
+    is given) returns per-position probabilities over the data vocabulary,
+    shape (n, D, K), for n states: `t` is a float when the call holds one
+    chain step and an (n,) array of per-row times when it holds several.
+    Noise-conditioned generators are marginalized over the fixed
+    `noise_draws` rows (eps then has one row per state row), and the joint
+    per-state transition is averaged over draws after the product across
+    positions, since positions are only independent given the noise.
+
+    The first step predicts its live states alone. Each later step predicts
+    every state with a free position under every draw, and as many whole
+    steps as fit in PREDICT_ROWS rows share one call, which builds the joints
+    of all its steps at once; rows of states without mass add nothing. When
+    two steps do not fit, each step runs alone on its live states, by whole
+    draws in calls of at most ENUM_GUARD rows, and each of those calls is
+    spread as soon as it returns, weighted by its share of the draws, so no
+    buffer holds the rows of every draw.
 
     Each state only reaches the states that differ from it in its free
     positions (all of them for a uniform chain, its MASK positions for a
     masked one), and fully revealed states never move. The DP visits only
-    those successors and builds them in row chunks of at most CHUNK_BYTES.
-    The all-free states, which reach every state, are spread by one matrix
-    product of two half-length joints (see `_spread`). So memory is bounded
-    per call, for every space up to ENUM_GUARD (20,000 states) and any
-    number of draws.
+    those successors, and a step that runs alone builds them in row chunks
+    of at most CHUNK_BYTES. The all-free states, which reach every state, are
+    spread by one matrix product of two half-length joints (see `_scatter`).
+    A shared call holds at most PREDICT_ROWS rows of at most PREDICT_ROWS / 2
+    states, and a row's joints over its free positions are no wider than
+    twice the number of states with a free position, so its joints take at
+    most 8 MiB. So memory is bounded per call, for every space up to
+    ENUM_GUARD (20,000 states) and any number of draws.
     """
     keff, K = process.vocab_eff, process.vocab
     n_states = keff ** seq_len
@@ -220,54 +316,39 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
     else:
         dist[:] = 1.0 / n_states
     draws = 1 if noise_draws is None else len(noise_draws)
+    # whole later steps per shared predict call: below 2, every step runs alone
+    steps_per_call = PREDICT_ROWS // (draws * len(plan.order))
+    order_z = plan.states[plan.order]
+    every_group = _live_groups(plan, np.arange(len(plan.order)))
 
-    # the tables of many steps per call (per-step times broadcast as per-example
-    # ones do), at most CHUNK_BYTES of them at once
-    block = max(1, CHUNK_BYTES // (8 * keff * K * keff))
-    for i in range(k, 0, -1):
-        if (k - i) % block == 0:
-            first = max(0, i - block)
-            tables, _ = posterior_table(process, np.arange(first, i) / k,
-                                        np.arange(first + 1, i + 1) / k)
-        t, table = i / k, tables[i - 1 - first]  # (z, c, j)
-        new = dist * plan.kept
-        live = np.flatnonzero(dist[plan.order] > 0)
-        src = plan.order[live]
-        z_src = plan.states[src]
-        mass = dist[src]
-        # the groups that hold mass: (live rows lo:hi, their free columns, successors)
-        groups = []
-        live_bounds = np.searchsorted(live, plan.bounds).tolist()
-        for (cols, succ), lo, hi, start, stop in zip(plan.groups, live_bounds, live_bounds[1:],
-                                                     plan.bounds, plan.bounds[1:]):
-            if lo == hi:
-                continue
-            if hi - lo < stop - start:  # only part of the group holds mass
-                rel = live[lo:hi] - start
-                cols, succ = cols[rel], None if succ is None else succ[rel]
-            groups.append((lo, hi, cols, succ))
-        # whole draws per predict call, at most ENUM_GUARD rows unless one draw has more;
-        # each call's draws are spread as soon as they return
-        per_call = max(1, ENUM_GUARD // max(len(src), 1))
-        for r in range(0, draws, per_call):
-            if noise_draws is None:
-                xhat = predict(z_src, t)
-            else:
-                eps = noise_draws[r:r + per_call]
-                xhat = predict(np.tile(z_src, (len(eps), 1)), t, np.repeat(eps, len(src), axis=0))
-            xhat = np.asarray(xhat).reshape(-1, len(src), seq_len, K)
-            if process.masked:
-                # the free positions of a masked chain all hold MASK
-                per_pos = xhat @ table[-1]
-            else:
-                per_pos = np.einsum("rndc,ndcj->rndj", xhat, table[z_src])
-            # this call's share of the average over draws (exactly `mass` for one call)
-            share = mass * (len(per_pos) / draws)
-            for lo, hi, cols, succ in groups:
-                rows = (per_pos[:, lo:hi] if succ is None
-                        else per_pos[:, np.arange(lo, hi)[:, None], cols])
-                _spread(new, share[lo:hi], rows, succ)
-        dist = new
+    i = k
+    while i > 0:
+        n = 1 if i == k or steps_per_call < 2 else min(steps_per_call, i)
+        times = np.arange(i, i - n, -1) / k  # steps i, i - 1, ..., i - n + 1
+        tables, _ = posterior_table(process, np.arange(i - 1, i - n - 1, -1) / k, times)
+        if n == 1:
+            live = np.flatnonzero(dist[plan.order] > 0)
+            src = plan.order[live]
+            z_src, groups = plan.states[src], _live_groups(plan, live)
+            new, mass = dist * plan.kept, dist[src]
+            for xhat, fraction in _draw_calls(predict, z_src, times[0], noise_draws, K):
+                per_pos = _per_pos(process, xhat, tables, z_src)[0]
+                # this call's share of the average over draws (exactly `mass` for one call)
+                share = mass * fraction
+                for lo, hi, cols, succ in groups:
+                    _spread(new, share[lo:hi], _group_rows(per_pos, lo, hi, cols, succ), succ)
+            dist = new
+        else:
+            xhat = _call_predict(predict, order_z, times, noise_draws, K)
+            per_pos = _per_pos(process, xhat, tables, order_z)
+            joints = [_joints(_group_rows(per_pos, lo, hi, cols, succ), succ)
+                      for lo, hi, cols, succ in every_group]
+            for j in range(n):
+                new, mass = dist * plan.kept, dist[plan.order]
+                for (lo, hi, _, succ), joint in zip(every_group, joints):
+                    _scatter(new, mass[lo:hi], [part[j] for part in joint], succ)
+                dist = new
+        i -= n
 
     if process.masked:
         clean_probs = dist[plan.kept > 0]
@@ -282,24 +363,29 @@ def oracle_denoiser(q: ExactDistribution, process: DiffusionProcess):
 
     Returns predict(z_states, t) -> factorized probabilities q(x_d | z_t),
     computed by enumeration over the support of q, in row chunks of at most
-    CHUNK_BYTES.
+    CHUNK_BYTES. `t` is a scalar or one time per row of z_states.
     """
     seqs = all_sequences(q.seq_len, q.vocab)  # (M, D)
     seq_oh = one_hot(seqs, q.vocab).reshape(len(seqs), -1)  # (M, D*K)
     step = max(1, CHUNK_BYTES // (8 * seqs.size))
+    keff = process.vocab_eff
 
     def predict(z_states, t):
-        lik = likelihood(process, t)  # lik[z, c] = q(z_t=z | x=c)
         z_states = np.asarray(z_states)
+        # lik[z, c] = q(z_t=z | x=c), with row r's table at rows r * keff + z
+        # when each row has its own time
+        lik = likelihood(process, t).reshape(-1, q.vocab)
+        base = (np.zeros(len(z_states), dtype=np.intp) if np.ndim(t) == 0
+                else np.arange(len(z_states)) * keff)
         out = np.empty((z_states.shape[0], q.seq_len, q.vocab))
         for lo in range(0, z_states.shape[0], step):
-            z = z_states[lo:lo + step]
+            z = z_states[lo:lo + step] + base[lo:lo + step, None]
             # prod_d q(z_d | x_d) for every (state, candidate x), one position
-            # at a time: (n, M) arrays, never an (n, M, D) one
-            joint = 1.0
-            for d in range(q.seq_len):
-                joint = joint * lik[z[:, d, None], seqs[:, d]]
-            w = q.probs * joint  # (n, M)
+            # at a time and in place: (n, M) arrays, never an (n, M, D) one
+            w = lik[z[:, 0, None], seqs[:, 0]]
+            for d in range(1, q.seq_len):
+                w *= lik[z[:, d, None], seqs[:, d]]
+            w *= q.probs
             totals = w.sum(axis=1, keepdims=True)
             w /= np.maximum(totals, 1e-300)
             chunk = out[lo:lo + step]

@@ -7,6 +7,7 @@ Every probability is float64. All functions are pure: given the same inputs
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,24 @@ class NumericsError(ValueError):
     pass
 
 
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int, at least one: how
+    numpy's SeedSequence reads an int entry of its entropy."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@functools.lru_cache(maxsize=256)
+def _stream_words(seed: int, path: tuple) -> tuple:
+    """The entropy words of a stream: the 64-bit seed, then each path tag."""
+    return tuple(w for n in (seed & 0xFFFFFFFFFFFFFFFF, *path) for w in _words(n))
+
+
 @dataclass
 class RngState:
     """Counter-based random source.
@@ -23,7 +42,9 @@ class RngState:
     A stream is identified by (seed, path); `child` appends to the path so
     child streams never collide with the parent. Every draw derives a fresh
     Philox generator from (seed, path, counter), so the full state is three
-    plain integers/tuples and serializes trivially.
+    plain integers/tuples and serializes trivially. The SeedSequence gets its
+    entropy as one uint32 array: the same key as the list [seed mod 2^64,
+    *path, counter], without numpy coercing a Python list on every draw.
     """
 
     seed: int
@@ -34,7 +55,8 @@ class RngState:
         return RngState(self.seed, self.path + (tag,), 0)
 
     def _generator(self) -> np.random.Generator:
-        entropy = [np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF), *self.path, self.counter]
+        entropy = np.array(_stream_words(self.seed, self.path) + tuple(_words(self.counter)),
+                           dtype=np.uint32)
         self.counter += 1
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 

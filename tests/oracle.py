@@ -9,7 +9,8 @@ through to numpy). On top of the ops it holds the tape forms of the network
 `finite_diff_check`, which checks a gradient against central differences.
 The tests compare the package's closed forms against these. Two small
 helpers only the tests use sit here too, `zero_grad` and `tv`, and the
-per-batch loop form of the reference model's gradient.
+per-batch loop form of the reference model's gradient, and the list form of
+`RngState`'s generator.
 """
 
 from __future__ import annotations
@@ -296,6 +297,13 @@ def zero_grad(store: ParamStore) -> None:
 def tv(a: np.ndarray, b: np.ndarray) -> float:
     """Total variation distance between two probability vectors."""
     return 0.5 * float(np.sum(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def rng_generator(rng: numerics.RngState) -> np.random.Generator:
+    """The generator of `rng`'s next draw, keyed by numpy's coercion of the
+    list [seed mod 2^64, *path, counter]; it does not advance the counter."""
+    entropy = [np.uint64(rng.seed & 0xFFFFFFFFFFFFFFFF), *rng.path, rng.counter]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def mean_grad_log_likelihood(ref, x: np.ndarray) -> np.ndarray:

@@ -236,6 +236,7 @@ def test_accept_4_factorization_error_curve():
     print(f"ACCEPT 4 PASS factorization-error curve: {curve}")
 
 
+@pytest.mark.slow
 def test_accept_5_dmmd_headline():
     """k=1 student beats the 1-step teacher by >= 10x on correlated_bits."""
     t0 = time.time()
@@ -262,6 +263,7 @@ def test_accept_5_dmmd_headline():
           f"{time.time() - t0:.0f}s)")
 
 
+@pytest.mark.slow
 def test_accept_6_noise_conditioning():
     """On mode_mixture, noise conditioning helps and collapses output entropy."""
     t0 = time.time()
@@ -339,6 +341,7 @@ def test_accept_8_gradient_moment_soundness():
           f"uniform {gm_unif.estimate:.2e}")
 
 
+@pytest.mark.slow
 def test_accept_9_top_p_surgery():
     """Nucleus surgery exact; Delta-shift trains; naive -1e20 masking diverges."""
     t0 = time.time()

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 import ddlab
-from ddlab import metrics
+from ddlab import cli, metrics
 from ddlab.data import ENUM_GUARD, all_sequences, seq_index
+from ddlab.distill import DistillConfig
 from ddlab.metrics import ExactDistribution, exact_chain_distribution, oracle_denoiser
+from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState, one_hot, softmax
 from ddlab.process import DiffusionProcess
 
@@ -104,7 +106,8 @@ def random_predict(K, D, keff, n_noise, seed):
     w_noise = gen.normal(size=(n_noise, D * K))
 
     def predict(z, t, eps=None):
-        h = np.eye(keff)[z].reshape(len(z), -1) @ w_state + t * w_time
+        # t is a scalar or one time per row
+        h = np.eye(keff)[z].reshape(len(z), -1) @ w_state + np.reshape(t, (-1, 1)) * w_time
         if eps is not None:
             h = h + eps @ w_noise
         return softmax(h.reshape(len(z), D, K), axis=-1)
@@ -131,17 +134,117 @@ def test_sparse_chain_matches_dense_reference(kind, K, D, monkeypatch):
 
 
 def test_noise_draws_share_one_predict_call_per_step():
+    # masked K=3 D=3, 5 draws, k=4: the first step predicts the all-MASK state
+    # under each draw (5 rows) alone; the three later steps each predict the
+    # 37 states with a MASK under each draw, 3 x 185 rows in one call
     process = DiffusionProcess("masked", 3)
     inner = random_predict(3, 3, 4, 2, seed=5)
+    draws = RngState(2).normal((5, 2))
     calls = []
 
     def predict(z, t, eps):
-        calls.append(len(z))
+        calls.append((z.copy(), np.broadcast_to(t, len(z)).copy(), eps.copy()))
         return inner(z, t, eps)
 
-    exact_chain_distribution(predict, process, 4, 3, noise_draws=RngState(2).normal((5, 2)))
-    assert len(calls) == 4
-    assert calls[0] == 5  # step one sees only the all-MASK state, once per draw
+    got = exact_chain_distribution(predict, process, 4, 3, noise_draws=draws).probs
+    assert [len(z) for z, _, _ in calls] == [5, 555]
+    assert all(len(z) <= metrics.PREDICT_ROWS for z, _, _ in calls)
+    # each call holds whole steps, in order, and every draw of each of its steps
+    steps = []
+    for z, t, eps in calls:
+        for time in np.unique(t)[::-1]:
+            at = t == time
+            pairs = {(tuple(row), tuple(e)) for row, e in zip(z[at], eps[at])}
+            states = {tuple(row) for row in z[at]}
+            assert pairs == {(row, tuple(e)) for row in states for e in draws}
+            assert at.sum() == len(states) * len(draws)
+            steps.append(time)
+    assert steps == [1.0, 0.75, 0.5, 0.25]
+    want = dense_chain_distribution(inner, process, 4, 3, draws)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_oracle_sweep_predict_calls():
+    # the bits oracle chains at k = 1 ... 2048 take 4,095 steps: one call for
+    # each chain's first step, and 204 later steps of 5 rows per call
+    q = ExactDistribution(2, 2, np.array([0.45, 0.05, 0.05, 0.45]))
+    process = DiffusionProcess("masked", 2)
+    inner = oracle_denoiser(q, process)
+    calls = []
+
+    def predict(z, t):
+        calls.append(len(z))
+        return inner(z, t)
+
+    for i in range(12):
+        exact_chain_distribution(predict, process, 2 ** i, 2)
+    assert len(calls) <= 41 and max(calls) <= metrics.PREDICT_ROWS
+
+
+def test_uniform_chain_of_1024_states_keeps_one_call_per_step():
+    process = DiffusionProcess("uniform", 4)
+    inner = random_predict(4, 5, 4, 0, seed=8)
+    calls = []
+
+    def predict(z, t):
+        calls.append((len(z), np.ndim(t)))
+        return inner(z, t)
+
+    got = exact_chain_distribution(predict, process, 3, 5).probs
+    assert calls == [(1024, 0)] * 3
+    want = dense_chain_distribution(inner, process, 3, 5)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_zero_mass_rows_add_nothing():
+    # q on 000 and 111 only: the oracle's exact zeros leave states with a MASK
+    # and no mass, whose rows the shared calls still predict
+    q = ExactDistribution(2, 3, np.array([0.6, 0, 0, 0, 0, 0, 0, 0.4]))
+    for kind in ("masked", "uniform"):
+        process = DiffusionProcess(kind, 2)
+        predict = oracle_denoiser(q, process)
+        for k in (2, 3, 7):
+            got = exact_chain_distribution(predict, process, k, 3).probs
+            want = dense_chain_distribution(predict, process, k, 3)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{kind} k={k}")
+
+
+def _per_row_times_match_scalar(predict, z, *args):
+    for t in (1.0, 0.75, 1 / 3, 0.0):
+        np.testing.assert_array_equal(predict(z, np.full(len(z), t), *args), predict(z, t, *args),
+                                      err_msg=f"t={t}")
+
+
+@pytest.mark.parametrize("top_p", [1.0, 0.6])
+def test_teacher_predict_per_row_times_match_scalar(top_p):
+    model = Denoiser(ModelConfig(seq_len=5, vocab=2, masked=True), RngState(1))
+    model.store.values[:] = RngState(2).normal(model.store.values.shape) * 0.5
+    predict = cli._teacher_predict(model, DistillConfig(tau=0.8, top_p=top_p))
+    # 243 rows: several no-grad row blocks of the forward
+    _per_row_times_match_scalar(predict, all_sequences(5, 3))
+
+
+def test_generator_probs_per_row_times_match_scalar():
+    gen = Denoiser(ModelConfig(seq_len=5, vocab=2, masked=True, n_noise=3), RngState(3))
+    gen.store.values[:] = RngState(4).normal(gen.store.values.shape) * 0.5
+    z = all_sequences(5, 3)
+    _per_row_times_match_scalar(gen.probs, z, RngState(5).normal((len(z), 3)))
+
+
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+def test_oracle_denoiser_per_row_times_match_scalar(kind, monkeypatch):
+    # zeros in q put some states outside its support (uniform prediction rows)
+    q = ExactDistribution(3, 2, np.array([0.3, 0, 0.1, 0, 0, 0, 0.2, 0, 0.4]))
+    process = DiffusionProcess(kind, 3)
+    z = all_sequences(2, process.vocab_eff)
+    _per_row_times_match_scalar(oracle_denoiser(q, process), z)
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)  # a chunk per row
+    _per_row_times_match_scalar(oracle_denoiser(q, process), z)
+    # rows at different times read their own time's likelihood
+    times = np.linspace(0.1, 1.0, len(z))
+    mixed = oracle_denoiser(q, process)(z, times)
+    for n in range(len(z)):
+        np.testing.assert_array_equal(mixed[n], oracle_denoiser(q, process)(z[n:n + 1], times[n])[0])
 
 
 def test_predict_calls_split_by_whole_draws_past_guard():

@@ -9,6 +9,7 @@ from scipy import stats
 from ddlab.numerics import (NumericsError, RngState, categorical_sample, distinct_rows,
                             entropy, log_softmax, one_hot,
                             softmax)
+from oracle import rng_generator
 
 
 def test_softmax_hand_value():
@@ -112,6 +113,35 @@ def test_rng_state_round_trip():
     rng.uniform(size=4)
     restored = RngState.from_state(rng.state())
     np.testing.assert_array_equal(rng.normal(size=6), restored.normal(size=6))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, 2 ** 64 - 1, -3])
+@pytest.mark.parametrize("path", [(), (3,), (2 ** 32, 5), (1, 2 ** 64 + 9, 0)])
+@pytest.mark.parametrize("counter", [0, 1, 2 ** 32, 2 ** 40 + 3])
+def test_rng_draws_match_list_keyed_generator(seed, path, counter):
+    # the uint32 entropy array must key the same stream as the list
+    # [seed mod 2^64, *path, counter] that numpy coerces word by word
+    draws = {
+        "uniform": (lambda r: r.uniform(size=7), lambda g: g.uniform(0.0, 1.0, size=7)),
+        "normal": (lambda r: r.normal(size=(2, 3)), lambda g: g.standard_normal(size=(2, 3))),
+        "gumbel": (lambda r: r.gumbel(size=5),
+                   lambda g: -np.log(-np.log(g.uniform(1e-300, 1.0, size=5)))),
+        "integers": (lambda r: r.integers(0, 1000, size=9),
+                     lambda g: g.integers(0, 1000, size=9)),
+    }
+    for name, (draw, want) in draws.items():
+        rng = RngState(seed, path, counter)
+        expected = want(rng_generator(rng))
+        np.testing.assert_array_equal(draw(rng), expected, err_msg=name)
+        assert rng.counter == counter + 1
+        # the next draw keys on the advanced counter
+        expected = want(rng_generator(rng))
+        np.testing.assert_array_equal(draw(rng), expected, err_msg=name)
+
+
+def test_rng_negative_path_tag_is_rejected():
+    with pytest.raises(ValueError):
+        RngState(1, (2, -1)).uniform(size=2)
 
 
 def test_rng_gumbel_location():
