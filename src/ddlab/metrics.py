@@ -192,20 +192,6 @@ def _scatter(out: np.ndarray, mass: np.ndarray, joints, succ: np.ndarray | None)
     out += np.bincount(succ.ravel(), (mass[:, None] * joints[0]).ravel(), minlength=len(out))
 
 
-def _spread(out: np.ndarray, mass: np.ndarray, rows: np.ndarray,
-            succ: np.ndarray | None) -> None:
-    """`_scatter` of one group's rows (draws, N, m, keff), in row chunks whose
-    joints fit CHUNK_BYTES."""
-    draws, n_rows, m, keff = rows.shape
-    h = (m + 1) // 2
-    width = draws * (keff ** h + keff ** (m - h)) if succ is None else keff ** m * (draws + 1)
-    step = max(1, CHUNK_BYTES // (8 * width))
-    for lo in range(0, n_rows, step):
-        hi = lo + step
-        _scatter(out, mass[lo:hi], _joints(rows[:, lo:hi], succ),
-                 None if succ is None else succ[lo:hi])
-
-
 def _live_groups(plan: _ChainPlan, live: np.ndarray) -> list:
     """The groups that hold the rows `live` (sorted indices into plan.order):
     per group (lo, hi, cols, succ), its rows lo:hi of `live` with their free
@@ -223,14 +209,6 @@ def _live_groups(plan: _ChainPlan, live: np.ndarray) -> list:
     return groups
 
 
-def _group_rows(per_pos: np.ndarray, lo: int, hi: int, cols: np.ndarray,
-                succ: np.ndarray | None) -> np.ndarray:
-    """Rows lo:hi of per_pos (..., N, D, keff) at their free columns: (..., hi - lo, m, keff)."""
-    if succ is None:  # the all-free group: every column
-        return per_pos[..., lo:hi, :, :]
-    return per_pos[..., np.arange(lo, hi)[:, None], cols, :]
-
-
 def _per_pos(process: DiffusionProcess, xhat: np.ndarray, tables: np.ndarray,
              z: np.ndarray) -> np.ndarray:
     """q(z_s | z_t = z, xhat) per position: xhat (n, draws, N, D, K) of n steps
@@ -241,33 +219,44 @@ def _per_pos(process: DiffusionProcess, xhat: np.ndarray, tables: np.ndarray,
     return np.einsum("srndc,sndcj->srndj", xhat, tables[:, z])
 
 
-def _call_predict(predict, z: np.ndarray, times, eps: np.ndarray | None, K: int) -> np.ndarray:
-    """One `predict` call on every state of z (N, D) under every draw of eps
-    (r, n_noise), or none, at each of `times`: rows time-major, then draw,
-    then state. Returns (len(times), r, N, D, K); one time goes as a float."""
+def _calls(predict, z: np.ndarray, times: np.ndarray, noise_draws: np.ndarray | None, K: int):
+    """`predict` on every state of z (N, D) at each of the n `times`, under
+    every row of noise_draws (R, n_noise) or none: yields (xhat (n, r, N, D, K),
+    r / R) per call, whose rows run time-major, then draw, then state. Calls
+    hold whole draws, at most ENUM_GUARD rows when one draw's rows fit; a
+    call of one step passes its time as a float."""
     n, N = len(times), len(z)
-    draws = 1 if eps is None else len(eps)
-    t = float(times[0]) if n == 1 else np.repeat(times, draws * N)
-    # the repeats, built once each: a call of one step and one draw passes z as is
-    z = np.tile(z, (n * draws, 1)) if n * draws > 1 else z
-    if eps is None:
-        xhat = predict(z, t)
-    else:
-        eps = np.repeat(eps, N, axis=0)
-        xhat = predict(z, t, np.tile(eps, (n, 1)) if n > 1 else eps)
-    return np.asarray(xhat).reshape(n, draws, N, -1, K)
+    draws = [None] if noise_draws is None else noise_draws
+    per_call = max(1, ENUM_GUARD // max(n * N, 1))
+    for lo in range(0, len(draws), per_call):
+        eps = draws[lo:lo + per_call]
+        r = len(eps)
+        t = float(times[0]) if n == 1 else np.repeat(times, r * N)
+        # the repeats, built once each: a call of one step and one draw passes z as is
+        zs = np.tile(z, (n * r, 1)) if n * r > 1 else z
+        if noise_draws is None:
+            xhat = predict(zs, t)
+        else:
+            eps = np.repeat(eps, N, axis=0)
+            xhat = predict(zs, t, np.tile(eps, (n, 1)) if n > 1 else eps)
+        yield np.asarray(xhat).reshape(n, r, N, -1, K), r / len(draws)
 
 
-def _draw_calls(predict, z: np.ndarray, t: float, noise_draws: np.ndarray | None, K: int):
-    """Yield (xhat (1, r, N, D, K), r / draws) for z at time t, by whole draws
-    in calls of at most ENUM_GUARD rows unless one draw has more."""
-    if noise_draws is None:
-        yield _call_predict(predict, z, [t], None, K), 1.0
-        return
-    per_call = max(1, ENUM_GUARD // max(len(z), 1))
-    for r in range(0, len(noise_draws), per_call):
-        eps = noise_draws[r:r + per_call]
-        yield _call_predict(predict, z, [t], eps, K), len(eps) / len(noise_draws)
+def _chunks(per_pos: np.ndarray, groups):
+    """Yield (lo, hi, joints, succ) for rows lo:hi of per_pos (n, draws, N, D,
+    keff): the `_joints` of one group's rows, keeping the step and draw axes,
+    in row chunks whose joints over all n steps fit CHUNK_BYTES."""
+    for lo, hi, cols, succ in groups:
+        # the all-free group takes every column
+        rows = (per_pos[..., lo:hi, :, :] if succ is None
+                else per_pos[..., np.arange(lo, hi)[:, None], cols, :])
+        n, draws, _, m, keff = rows.shape
+        h = (m + 1) // 2
+        width = draws * (keff ** h + keff ** (m - h)) if succ is None else keff ** m * (draws + 1)
+        step = max(1, CHUNK_BYTES // (8 * n * width))
+        for a in range(0, hi - lo, step):
+            yield (lo + a, min(lo + a + step, hi), _joints(rows[..., a:a + step, :, :], succ),
+                   None if succ is None else succ[a:a + step])
 
 
 def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len: int,
@@ -283,27 +272,32 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
     per-state transition is averaged over draws after the product across
     positions, since positions are only independent given the noise.
 
-    The first step predicts its live states alone. Each later step predicts
-    every state with a free position under every draw, and as many whole
-    steps as fit in PREDICT_ROWS rows share one call, which builds the joints
-    of all its steps at once; rows of states without mass add nothing. When
-    two steps do not fit, each step runs alone on its live states, by whole
-    draws in calls of at most ENUM_GUARD rows, and each of those calls is
-    spread as soon as it returns, weighted by its share of the draws, so no
-    buffer holds the rows of every draw.
-
     Each state only reaches the states that differ from it in its free
     positions (all of them for a uniform chain, its MASK positions for a
-    masked one), and fully revealed states never move. The DP visits only
-    those successors, and a step that runs alone builds them in row chunks
-    of at most CHUNK_BYTES. The all-free states, which reach every state, are
-    spread by one matrix product of two half-length joints (see `_scatter`).
-    A shared call holds at most PREDICT_ROWS rows of at most PREDICT_ROWS / 2
-    states, and a row's joints over its free positions are no wider than
-    twice the number of states with a free position, so its joints take at
-    most 8 MiB. So memory is bounded per call, for every space up to
-    ENUM_GUARD (20,000 states) and any number of draws.
+    masked one), and fully revealed states never move. The DP runs one loop
+    over `predict` calls, each of n consecutive steps and r whole draws: the
+    call builds the joints over each state's free positions for all its
+    steps and draws in one pass, then scatters the mass of each step in turn to
+    those successors, weighted by the call's share r / R of the average over
+    draws. The all-free states, which reach every state, are scattered by
+    one matrix product of two half-length joints (see `_scatter`).
+
+    The first step runs alone on the all-MASK state (masked) or every state
+    (uniform). A later step shares a call with as many whole steps as fit in
+    PREDICT_ROWS rows with every draw, on every state with a free position
+    (rows of states without mass add nothing); when two steps do not fit, it
+    runs alone on the states that hold mass. Memory has one bound, for every
+    space up to ENUM_GUARD (20,000 states) and any number of draws: a call
+    holds at most ENUM_GUARD rows and builds its joints in row chunks of at
+    most CHUNK_BYTES. A call of one step scatters each chunk as it is built.
+    A call of several steps keeps its chunks for all its steps; it holds at
+    most PREDICT_ROWS rows of at most PREDICT_ROWS / 2 states, and a row's
+    joints are no wider than twice its states, so they take at most 8 MiB.
     """
+    if k < 1:
+        raise MetricError(f"k must be >= 1, got {k}")
+    if noise_draws is not None and len(noise_draws) == 0:
+        raise MetricError("noise_draws holds no draw")
     keff, K = process.vocab_eff, process.vocab
     n_states = keff ** seq_len
     if not chain_enumerable(process, seq_len):
@@ -318,36 +312,29 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
     draws = 1 if noise_draws is None else len(noise_draws)
     # whole later steps per shared predict call: below 2, every step runs alone
     steps_per_call = PREDICT_ROWS // (draws * len(plan.order))
-    order_z = plan.states[plan.order]
-    every_group = _live_groups(plan, np.arange(len(plan.order)))
 
     i = k
     while i > 0:
         n = 1 if i == k or steps_per_call < 2 else min(steps_per_call, i)
         times = np.arange(i, i - n, -1) / k  # steps i, i - 1, ..., i - n + 1
         tables, _ = posterior_table(process, np.arange(i - 1, i - n - 1, -1) / k, times)
-        if n == 1:
-            live = np.flatnonzero(dist[plan.order] > 0)
-            src = plan.order[live]
-            z_src, groups = plan.states[src], _live_groups(plan, live)
-            new, mass = dist * plan.kept, dist[src]
-            for xhat, fraction in _draw_calls(predict, z_src, times[0], noise_draws, K):
-                per_pos = _per_pos(process, xhat, tables, z_src)[0]
-                # this call's share of the average over draws (exactly `mass` for one call)
-                share = mass * fraction
-                for lo, hi, cols, succ in groups:
-                    _spread(new, share[lo:hi], _group_rows(per_pos, lo, hi, cols, succ), succ)
-            dist = new
-        else:
-            xhat = _call_predict(predict, order_z, times, noise_draws, K)
-            per_pos = _per_pos(process, xhat, tables, order_z)
-            joints = [_joints(_group_rows(per_pos, lo, hi, cols, succ), succ)
-                      for lo, hi, cols, succ in every_group]
+        live = np.flatnonzero(dist[plan.order] > 0) if n == 1 else np.arange(len(plan.order))
+        src = plan.order[live]
+        z_src, groups = plan.states[src], _live_groups(plan, live)
+        new = dist * plan.kept
+        for xhat, share in _calls(predict, z_src, times, noise_draws, K):
+            chunks = _chunks(_per_pos(process, xhat, tables, z_src), groups)
+            if n > 1:  # every step reads every chunk
+                chunks = list(chunks)
             for j in range(n):
-                new, mass = dist * plan.kept, dist[plan.order]
-                for (lo, hi, _, succ), joint in zip(every_group, joints):
-                    _scatter(new, mass[lo:hi], [part[j] for part in joint], succ)
-                dist = new
+                if j:  # the call's next step: a call of several steps holds every draw
+                    dist, new = new, new * plan.kept
+                # the call's share of the average over draws; all of it spares a multiply
+                mass = dist[src] if share == 1 else dist[src] * share
+                for lo, hi, joints, succ in chunks:
+                    _scatter(new, mass[lo:hi], [part[j] for part in joints], succ)
+                    del joints  # a call of one step frees each chunk before the next
+        dist = new
         i -= n
 
     if process.masked:

@@ -124,13 +124,16 @@ def test_sparse_chain_matches_dense_reference(kind, K, D, monkeypatch):
     draws = RngState(K + D).normal((3, 2))
     cases = [(k, noise) for k in (1, 2, 4) for noise in (None, draws)]
     expected = [dense_chain_distribution(predict, process, k, D, noise) for k, noise in cases]
-    for budget in (metrics.CHUNK_BYTES, 1):
-        # a one-byte budget puts every source row in a chunk of its own
-        monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
+    # a one-byte budget puts every source row in a chunk of its own; one row
+    # per call runs every step alone, on the states that hold mass
+    for setting, value in (("CHUNK_BYTES", metrics.CHUNK_BYTES), ("CHUNK_BYTES", 1),
+                           ("PREDICT_ROWS", 1)):
+        monkeypatch.setattr(metrics, setting, value)
         for (k, noise), want in zip(cases, expected):
             got = exact_chain_distribution(predict, process, k, D, noise_draws=noise).probs
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
-                                       err_msg=f"k={k} draws={noise is not None} budget={budget}")
+                                       err_msg=f"k={k} draws={noise is not None} "
+                                               f"{setting}={value}")
 
 
 def test_noise_draws_share_one_predict_call_per_step():
@@ -194,6 +197,37 @@ def test_uniform_chain_of_1024_states_keeps_one_call_per_step():
     assert calls == [(1024, 0)] * 3
     want = dense_chain_distribution(inner, process, 3, 5)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_steps_that_run_alone_predict_the_states_with_mass():
+    # masked K=4 D=5, 2 draws: 2 x 2,101 states with a MASK exceed PREDICT_ROWS,
+    # so every step runs alone. The first predicts the all-MASK state under
+    # both draws; the later two predict every state with a MASK, all of which
+    # hold mass by then.
+    process = DiffusionProcess("masked", 4)
+    inner = random_predict(4, 5, 5, 2, seed=11)
+    draws = RngState(12).normal((2, 2))
+    calls = []
+
+    def predict(z, t, eps):
+        calls.append(len(z))
+        return inner(z, t, eps)
+
+    got = exact_chain_distribution(predict, process, 3, 5, noise_draws=draws).probs
+    assert calls == [2, 4202, 4202]
+    want = dense_chain_distribution(inner, process, 3, 5, draws)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+@pytest.mark.parametrize("k, n_draws, message", [(0, None, "k must be"), (-3, None, "k must be"),
+                                                  (2, 0, "no draw")])
+def test_chain_rejects_no_steps_or_no_draws(kind, k, n_draws, message):
+    process = DiffusionProcess(kind, 2)
+    predict = random_predict(2, 2, process.vocab_eff, 2, seed=1)
+    noise = None if n_draws is None else np.zeros((n_draws, 2))
+    with pytest.raises(metrics.MetricError, match=message):
+        exact_chain_distribution(predict, process, k, 2, noise_draws=noise)
 
 
 def test_zero_mass_rows_add_nothing():
