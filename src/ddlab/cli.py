@@ -89,24 +89,27 @@ def _teacher_predict(model: Denoiser, dcfg):
     return predict
 
 
-def _teacher_chain_kl(model, dataset, process, steps: int, dcfg) -> float:
+def _teacher_chain_kl(model: Denoiser, ctx: Context, k: int) -> float:
     # no distinct_rows grouping: the DP's rows are already distinct, and on small
     # spaces it hands the teacher several steps per call with per-row times
-    p = exact_chain_distribution(_teacher_predict(model, dcfg), process, steps, dataset.seq_len)
-    return kl(_exact_q(dataset), p)
+    p = exact_chain_distribution(_teacher_predict(model, ctx.cfg.distill_config()), ctx.process,
+                                 k, ctx.dataset.seq_len)
+    return kl(_exact_q(ctx.dataset), p)
 
 
-def _student_chain_kl(gen: Denoiser, dataset, process, k: int, draws: int, seed: int) -> float:
+def _student_chain_kl(gen: Denoiser, ctx: Context, k: int) -> float:
     noise = None
     if gen.config.n_noise > 0:
-        noise = RngState(seed).child(901).normal((draws, gen.config.n_noise))
-    p = exact_chain_distribution(gen.probs, process, k, dataset.seq_len, noise_draws=noise)
-    return kl(_exact_q(dataset), p)
+        draws = ctx.cfg.get("distill", "noise_marginal_draws")
+        noise = RngState(ctx.seed).child(901).normal((draws, gen.config.n_noise))
+    p = exact_chain_distribution(gen.probs, ctx.process, k, ctx.dataset.seq_len, noise_draws=noise)
+    return kl(_exact_q(ctx.dataset), p)
 
 
-def _check_computable(names, dataset, process) -> None:
+def _check_computable(names, ctx: Context) -> None:
     """Before any work: exact_kl enumerates the noisy chain, gm and
     generative_perplexity the data (for the reference model)."""
+    dataset, process = ctx.dataset, ctx.process
     if "exact_kl" in names and not chain_enumerable(process, dataset.seq_len):
         raise ConfigError(f"exact_kl: {process.vocab_eff}^{dataset.seq_len} chain states "
                           f"exceed the enumeration guard ({ENUM_GUARD})")
@@ -115,17 +118,17 @@ def _check_computable(names, dataset, process) -> None:
                           f"sequences exceed the enumeration guard ({ENUM_GUARD})")
 
 
-def _default_steps(model: Denoiser, cfg: ExperimentConfig, steps: int | None) -> int:
+def _default_steps(generator: bool, cfg: ExperimentConfig, steps: int | None) -> int:
     """Sampling steps: as given, else the generator's k or the teacher's [eval] steps."""
     if steps is not None:
         if steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {steps}")
         return steps
-    return cfg.get("distill", "k") if model.config.n_noise > 0 else cfg.get("eval", "steps")
+    return cfg.get("distill", "k") if generator else cfg.get("eval", "steps")
 
 
 def cmd_train_teacher(args) -> int:
-    cfg, seed, out, dataset, process = _context(args)
+    cfg, seed, out, dataset, process = ctx = _context(args)
     model, rows = train_teacher(dataset, process, cfg.model_config(n_noise=0),
                                 cfg.teacher_config(), RngState(seed).child(1),
                                 record_wallclock=cfg.get("run", "record_wallclock"))
@@ -134,16 +137,16 @@ def cmd_train_teacher(args) -> int:
     _write_csv(os.path.join(out, "teacher_log.csv"),
                ["step", "loss", "eval_kl", "wallclock_ms"], rows, cfg, seed)
     if chain_enumerable(process, dataset.seq_len):
-        dcfg = cfg.distill_config()
-        table = [{"steps": n, "kl": _teacher_chain_kl(model, dataset, process, n, dcfg)}
-                 for n in (1, 2, 4, 8, 16)]
+        table = [{"steps": n, "kl": _teacher_chain_kl(model, ctx, n)} for n in (1, 2, 4, 8, 16)]
         _write_csv(os.path.join(out, "teacher_kl_vs_steps.csv"), ["steps", "kl"], table,
                    cfg, seed)
     print(f"teacher checkpoint and logs written to {out}")
     return 0
 
 
-def _load_compatible(path, cfg: ExperimentConfig):
+def _load_compatible(path, cfg: ExperimentConfig) -> tuple[Denoiser, bool]:
+    """The checkpoint's model, and whether it is a generator: recorded as
+    one, or taking input noise (a checkpoint without a recorded role)."""
     try:
         model, extra = model_from_checkpoint(path)
     except (OSError, ModelError, ValueError) as exc:
@@ -152,13 +155,13 @@ def _load_compatible(path, cfg: ExperimentConfig):
     if model.config != want:
         raise ArtifactError(
             f"checkpoint {path} incompatible with config: {model.config} vs {want}")
-    return model, extra
+    return model, extra.get("role") == "generator" or model.config.n_noise > 0
 
 
 def cmd_distill(args) -> int:
-    cfg, seed, out, dataset, process = _context(args)
-    teacher, _ = _load_compatible(args.teacher, cfg)
-    if teacher.config.n_noise != 0:
+    cfg, seed, out, dataset, process = ctx = _context(args)
+    teacher, generator = _load_compatible(args.teacher, cfg)
+    if generator:
         raise ArtifactError(f"{args.teacher} is not a teacher checkpoint")
     dcfg = cfg.distill_config()
     distiller = Distiller(teacher, dataset, process, dcfg, RngState(seed).child(2),
@@ -170,8 +173,7 @@ def cmd_distill(args) -> int:
             raise ArtifactError(f"cannot resume from {args.resume}: {exc}")
 
     def eval_fn(d: Distiller) -> float:
-        return _student_chain_kl(d.generator, dataset, process, dcfg.k,
-                                 dcfg.noise_marginal_draws, seed)
+        return _student_chain_kl(d.generator, ctx, dcfg.k)
 
     # beyond the guard the probes log NaN and the KL table is skipped
     exact = chain_enumerable(process, dataset.seq_len)
@@ -196,48 +198,46 @@ def cmd_distill(args) -> int:
             if k == dcfg.k and final_kl is not None:
                 student_kl = final_kl
             else:
-                student_kl = _student_chain_kl(distiller.generator, dataset, process, k,
-                                               dcfg.noise_marginal_draws, seed)
+                student_kl = _student_chain_kl(distiller.generator, ctx, k)
             table.append({"k": k, "student_kl": student_kl,
-                          "teacher_kl": _teacher_chain_kl(teacher, dataset, process, k, dcfg)})
+                          "teacher_kl": _teacher_chain_kl(teacher, ctx, k)})
         _write_csv(os.path.join(out, "student_kl_vs_k.csv"),
                    ["k", "student_kl", "teacher_kl"], table, cfg, seed)
     print(f"distilled checkpoints and logs written to {out}")
     return 0
 
 
-def _model_sampler(model: Denoiser, cfg: ExperimentConfig, process, steps: int):
+def _model_sampler(model: Denoiser, generator: bool, ctx: Context, steps: int):
     """sampler(n, rng): `steps`-step ancestral samples, with fresh input noise
-    per step for a generator, after logit surgery for a teacher.
+    per step for a generator that takes it, after the context's [distill]
+    logit surgery for a teacher.
 
-    A teacher's prediction depends on (z, t) alone, so it runs once per
-    distinct row of z: at most vocab_eff^D rows per step, whatever n is.
+    Without input noise the prediction depends on (z, t) alone, so it runs
+    once per distinct row of z: at most vocab_eff^D rows per step, whatever n is.
     """
     n_noise = model.config.n_noise
-    teacher = _teacher_predict(model, cfg.distill_config())
+    rows_predict = model.probs if generator else _teacher_predict(model, ctx.cfg.distill_config())
 
     def sampler(n, rng):
         def predict(z, t):
             if n_noise > 0:
                 return model.probs(z, t, noise=rng.normal((len(z), n_noise)))
             rows, inverse = distinct_rows(z)
-            return teacher(rows, t)[inverse]
+            return rows_predict(rows, t)[inverse]
 
-        return ancestral_sample(predict, process, steps, rng, n, model.config.seq_len)
+        return ancestral_sample(predict, ctx.process, steps, rng, n, model.config.seq_len)
     return sampler
 
 
-def _evaluate(ctx: Context, model: Denoiser, names, steps: int) -> list[dict]:
+def _evaluate(ctx: Context, model: Denoiser, generator: bool, names, steps: int) -> list[dict]:
     """The `eval` records of the model's `steps`-step chain, one per metric
     name, under the context's config and seed: the sampled metrics draw from
     children of RngState(seed).child(3)."""
     cfg, dataset, process = ctx.cfg, ctx.dataset, ctx.process
-    ecfg, dcfg = cfg.eval_config(), cfg.distill_config()
-    sampler = _model_sampler(model, cfg, process, steps)
+    ecfg = cfg.eval_config()
+    sampler = _model_sampler(model, generator, ctx, steps)
     rng = RngState(ctx.seed).child(3)
-    ref = ReferenceModel(dataset.seq_len, dataset.vocab)
-    if dataset.enumerable:
-        ref.fit_exact(_exact_q(dataset))
+    ref = ReferenceModel(_exact_q(dataset)) if dataset.enumerable else None
 
     records = []
     chash = config_hash(cfg)
@@ -245,10 +245,8 @@ def _evaluate(ctx: Context, model: Denoiser, names, steps: int) -> list[dict]:
         rec = {"metric": name, "config_hash": chash, "seed": ctx.seed, "steps": steps}
         if name == "exact_kl":
             # a generator's chain marginalized over its input noise, a teacher's after surgery
-            rec["value"] = (_student_chain_kl(model, dataset, process, steps,
-                                              dcfg.noise_marginal_draws, ctx.seed)
-                            if model.config.n_noise > 0 else
-                            _teacher_chain_kl(model, dataset, process, steps, dcfg))
+            rec["value"] = (_student_chain_kl(model, ctx, steps) if generator else
+                            _teacher_chain_kl(model, ctx, steps))
         elif name == "gm":
             res = gradient_moment(ref, sampler, dataset.sample, ecfg.gm_batch, ecfg.gm_pairs,
                                   rng.child(1))
@@ -274,9 +272,10 @@ def cmd_eval(args) -> int:
             ecfg = dataclasses.replace(ecfg, metrics=args.metrics)
         except MetricError as exc:
             raise ConfigError(str(exc)) from None
-    _check_computable(ecfg.names, ctx.dataset, ctx.process)
-    model, _ = _load_compatible(args.checkpoint, ctx.cfg)
-    records = _evaluate(ctx, model, ecfg.names, _default_steps(model, ctx.cfg, args.steps))
+    _check_computable(ecfg.names, ctx)
+    model, generator = _load_compatible(args.checkpoint, ctx.cfg)
+    records = _evaluate(ctx, model, generator, ecfg.names,
+                        _default_steps(generator, ctx.cfg, args.steps))
     with open(os.path.join(ctx.out, "eval_report.json"), "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -288,9 +287,9 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    cfg, seed, out, dataset, process = _context(args)
-    model, _ = _load_compatible(args.checkpoint, cfg)
-    sampler = _model_sampler(model, cfg, process, _default_steps(model, cfg, args.steps))
+    cfg, seed, out, dataset, _ = ctx = _context(args)
+    model, generator = _load_compatible(args.checkpoint, cfg)
+    sampler = _model_sampler(model, generator, ctx, _default_steps(generator, cfg, args.steps))
     samples = sampler(args.n, RngState(seed).child(4))
     _write_csv(os.path.join(out, "samples.csv"),
                [f"pos{d}" for d in range(dataset.seq_len)], samples.tolist(), cfg, seed)
@@ -313,18 +312,20 @@ def cmd_sweep(args) -> int:
     points = []
     for raw in values:  # every point is checked before any point's work
         point = _context(args, (section, key, raw))
-        _check_computable(names, point.dataset, point.process)
-        model = _load_compatible(args.checkpoint, point.cfg)[0] if args.checkpoint else None
-        points.append((raw, point, model))
+        _check_computable(names, point)
+        loaded = _load_compatible(args.checkpoint, point.cfg) if args.checkpoint else None
+        points.append((raw, point, loaded))
     rows = []
-    for raw, point, model in points:
+    for raw, point, loaded in points:
         row = {"axis": args.axis, "value": raw}
-        if model is None:
+        if loaded is None:
             q = _exact_q(point.dataset)
             row["exact_kl"] = kl(q, factorized_oracle_chain(q, point.process,
                                                             point.cfg.get("distill", "k")))
         else:
-            for rec in _evaluate(point, model, names, _default_steps(model, point.cfg, None)):
+            model, generator = loaded
+            for rec in _evaluate(point, model, generator, names,
+                                 _default_steps(generator, point.cfg, None)):
                 row[rec["metric"]] = rec["value"]
                 row.update({f"{rec['metric']}_{extra}": rec[extra]
                             for extra in ("stderr", "warning") if extra in rec})

@@ -68,6 +68,8 @@ class DistillConfig:
         if min(self.aux_per_gen, self.batch, self.eval_every, self.noise_marginal_draws) < 1:
             raise DistillError("aux_per_gen, batch, eval_every and noise_marginal_draws "
                                "must be >= 1")
+        if self.steps < 0:
+            raise DistillError("steps must be >= 0")
         if not 0.0 < self.ds <= 1.0:
             raise DistillError("ds must lie in (0, 1]")
 

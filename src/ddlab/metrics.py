@@ -394,15 +394,20 @@ class ReferenceModel:
     """Position-dependent bigram autoregressive model with analytic gradients.
 
     Parameters are logits[d, prev, c] with prev = BOS (index K) at d = 0.
-    Fitting the exact conditionals of q puts the model at its MLE, where the
-    expected data log-likelihood gradient is exactly zero.
+    They are the log of q's exact conditionals, which puts the model at its
+    MLE, where the expected data log-likelihood gradient is exactly zero.
     """
 
-    def __init__(self, seq_len: int, vocab: int):
-        self.seq_len = seq_len
-        self.vocab = vocab
-        self.logits = np.zeros((seq_len, vocab + 1, vocab))
-        self.fitted = False
+    def __init__(self, q: ExactDistribution):
+        self.seq_len, self.vocab = q.seq_len, q.vocab
+        seqs = all_sequences(q.seq_len, q.vocab)
+        prev = self._prev(seqs)
+        cond = np.zeros((q.seq_len, q.vocab + 1, q.vocab))
+        for d in range(self.seq_len):
+            np.add.at(cond[d], (prev[:, d], seqs[:, d]), q.probs)
+        rows = cond.sum(axis=2, keepdims=True)
+        cond = np.where(rows > 0, cond / np.maximum(rows, 1e-300), 1.0 / self.vocab)
+        self.logits = np.log(np.maximum(cond, 1e-12))
 
     @property
     def n_params(self) -> int:
@@ -413,17 +418,6 @@ class ReferenceModel:
         prev[..., 0] = self.vocab  # BOS
         prev[..., 1:] = x[..., :-1]
         return prev
-
-    def fit_exact(self, q: ExactDistribution) -> None:
-        seqs = all_sequences(q.seq_len, q.vocab)
-        prev = self._prev(seqs)
-        cond = np.zeros_like(self.logits)
-        for d in range(self.seq_len):
-            np.add.at(cond[d], (prev[:, d], seqs[:, d]), q.probs)
-        rows = cond.sum(axis=2, keepdims=True)
-        cond = np.where(rows > 0, cond / np.maximum(rows, 1e-300), 1.0 / self.vocab)
-        self.logits = np.log(np.maximum(cond, 1e-12))
-        self.fitted = True
 
     def log_likelihood(self, x: np.ndarray) -> np.ndarray:
         """Per-sequence log p(x), shape (batch,)."""
@@ -477,8 +471,6 @@ def gradient_moment(ref: ReferenceModel, gen_sampler, data_sampler, batch_size: 
     pair i. Past GM_ROWS_PER_CALL rows, or CHUNK_BYTES of per-batch
     gradients, a side takes more calls, each of whole pairs.
     """
-    if not ref.fitted:
-        raise MetricError("reference model is untrained")
     per_call = max(1, min(GM_ROWS_PER_CALL // (2 * batch_size),
                           CHUNK_BYTES // (2 * 8 * ref.n_params)))
     vals = np.empty(n_pairs)
@@ -525,8 +517,6 @@ def generator_output_entropy(model, process: DiffusionProcess, n_probes: int,
 
 def generative_perplexity(ref: ReferenceModel, samples: np.ndarray) -> float:
     """exp of mean negative reference-model log-likelihood per token."""
-    if not ref.fitted:
-        raise MetricError("reference model is untrained")
     samples = np.asarray(samples)
     mean_nll = -float(np.mean(ref.log_likelihood(samples))) / ref.seq_len
     return float(np.exp(mean_nll))

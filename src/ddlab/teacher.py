@@ -28,6 +28,8 @@ class TeacherTrainConfig:
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if min(self.batch, self.eval_every, self.eval_steps) < 1:
             raise ValueError("batch, eval_every and eval_steps must be >= 1")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
         if not 0.0 < self.lr < np.inf:
             raise ValueError("lr must be finite and > 0")
 

@@ -317,8 +317,7 @@ def test_accept_7_fixed_point():
 
 def test_accept_8_gradient_moment_soundness():
     """GM(data) ~ 0; GM(uniform) > 5 SE; corrupted data strictly between."""
-    ref = ReferenceModel(2, 2)
-    ref.fit_exact(Q_CB)
+    ref = ReferenceModel(Q_CB)
     rng = RngState(60)
 
     def uniform_sampler(n, r):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddlab.autodiff import AdamState, adam_step
-from ddlab.cli import _model_sampler, main
+from ddlab.cli import Context, _model_sampler, main
 from ddlab.config import (SCHEMA, ConfigError, config_hash, load_config, parse_config,
                           to_text)
 from ddlab.distill import DistillDivergence, Distiller, teacher_logits
@@ -242,7 +242,7 @@ def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
 
     cfg = load_config(config_path)
     gen, _ = cli.model_from_checkpoint(os.path.join(out, "generator.ckpt"))
-    fresh = cli._student_chain_kl(gen, cfg.dataset(), cfg.process(), 1, 8, 7)
+    fresh = cli._student_chain_kl(gen, cli.Context(cfg, 7, out, cfg.dataset(), cfg.process()), 1)
     assert table.decode().splitlines()[2].split(",")[1] == f"{fresh:.10g}"
 
     # resumed at the last step: no probe runs, and the restored log's last
@@ -312,6 +312,8 @@ def test_cli_bad_value_is_config_error(tmp_path, old, new):
     ("steps = 60", "steps = 60\naux_lr = nan"),
     ("k = 1", "k = 1\ndelta = nan"),
     ("k = 1", "k = 1\ndelta = inf"),
+    ("steps = 200", "steps = -5"),
+    ("steps = 60", "steps = -3"),
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, old, new):
     # counts, widths, ds, rates and delta that would fail later (or, for n_noise,
@@ -450,7 +452,8 @@ def test_teacher_sampler_forwards_each_distinct_row_once(monkeypatch, dataset, k
         return forward(self, z, *args, **kwargs)
 
     monkeypatch.setattr(Denoiser, "forward", counted)
-    got = _model_sampler(teacher, cfg, process, 16)(n, RngState(seed).child(4))
+    ctx = Context(cfg, seed, "unused", cfg.dataset(), process)
+    got = _model_sampler(teacher, False, ctx, 16)(n, RngState(seed).child(4))
     np.testing.assert_array_equal(got, want)
     assert len(rows) == 16
     assert max(rows) <= min(n, process.vocab_eff ** D), rows
@@ -460,9 +463,9 @@ def test_cli_samples_csv_golden_bytes(config_path, tmp_path, monkeypatch):
     import ddlab.cli as cli
 
     samples = np.array([[1, 0], [0, 0], [1, 1]])
-    monkeypatch.setattr(cli, "_load_compatible", lambda path, cfg: (None, {}))
+    monkeypatch.setattr(cli, "_load_compatible", lambda path, cfg: (None, False))
     monkeypatch.setattr(cli, "_model_sampler",
-                        lambda model, cfg, process, steps: lambda n, rng: samples[:n])
+                        lambda model, generator, ctx, steps: lambda n, rng: samples[:n])
     out = str(tmp_path / "out")
     assert main(["sample", "--config", config_path, "--checkpoint", "unused.ckpt",
                  "--out", out, "--seed", "7", "--n", "3", "--steps", "1"]) == 0
@@ -490,6 +493,48 @@ def test_cli_generator_as_teacher_is_artifact_error(config_path, tmp_path):
     code = main(["distill", "--config", config_path, "--teacher",
                  os.path.join(out, "generator.ckpt"), "--out", out, "--seed", "2"])
     assert code == 3
+
+
+# a generator without input noise, distilled under logit surgery
+NOISE_FREE_CONFIG = BASE_CONFIG.replace("n_noise = 4", "n_noise = 0").replace(
+    "k = 1", "k = 1\ntau = 0.5")
+
+
+@pytest.fixture
+def noise_free_path(tmp_path):
+    path = tmp_path / "noise_free.ini"
+    path.write_text(NOISE_FREE_CONFIG)
+    return str(path)
+
+
+def test_cli_noise_free_generator_as_teacher_is_artifact_error(noise_free_path, tmp_path):
+    # the recorded role, not the noise width, tells a generator from a teacher
+    out = str(tmp_path / "out")
+    _train_and_distill(noise_free_path, out, 2)
+    code = main(["distill", "--config", noise_free_path, "--teacher",
+                 os.path.join(out, "generator.ckpt"), "--out", out, "--seed", "2"])
+    assert code == 3
+
+
+def test_cli_noise_free_generator_evaluates_its_k_step_chain(noise_free_path, tmp_path):
+    # eval and sweep --checkpoint run a generator for [distill] k steps without
+    # surgery: their exact KL is student_kl_vs_k.csv's row at that k
+    out = str(tmp_path / "out")
+    _train_and_distill(noise_free_path, out, 0)
+    with open(os.path.join(out, "student_kl_vs_k.csv")) as fh:
+        table = {row["k"]: row["student_kl"] for row in csv.DictReader(fh.readlines()[1:])}
+    ckpt = os.path.join(out, "generator.ckpt")
+    assert main(["eval", "--config", noise_free_path, "--checkpoint", ckpt, "--out", out,
+                 "--seed", "0", "--metrics", "exact_kl"]) == 0
+    with open(os.path.join(out, "eval_report.json")) as fh:
+        rec = json.loads(fh.readline())
+    assert rec["steps"] == 1
+    assert f"{rec['value']:.10g}" == table["1"]
+    assert main(["sweep", "--config", noise_free_path, "--checkpoint", ckpt, "--out", out,
+                 "--seed", "0", "--axis", "distill.k", "--values", "1,2"]) == 0
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        swept = {row["value"]: row["exact_kl"] for row in csv.DictReader(fh.readlines()[1:])}
+    assert swept == {"1": table["1"], "2": table["2"]}
 
 
 def test_cli_bad_resume_is_artifact_error(config_path, tmp_path):

@@ -104,8 +104,7 @@ def test_oracle_denoiser_marginals():
 
 
 def test_reference_model_fit_exact_is_stationary():
-    ref = ReferenceModel(2, 2)
-    ref.fit_exact(Q)
+    ref = ReferenceModel(Q)
     # expected data gradient at the MLE is exactly zero
     seqs = np.array([[0, 0], [1, 1]])
     grad = ref.mean_grad_log_likelihood(seqs[:, None])  # one batch per sequence
@@ -116,9 +115,8 @@ def test_reference_model_fit_exact_is_stationary():
 
 
 def test_reference_model_gradients_match_finite_differences():
-    ref = ReferenceModel(2, 2)
+    ref = ReferenceModel(Q)
     ref.logits = RngState(2).normal(ref.logits.shape)
-    ref.fitted = True
     x = np.array([[0, 1], [1, 1], [0, 0]])
     analytic = ref.mean_grad_log_likelihood(x[None])[0]
     eps = 1e-6
@@ -138,9 +136,8 @@ def test_reference_model_gradients_match_finite_differences():
 def test_reference_model_batched_gradient_matches_loop(n, B, D, K, seed):
     # the two bincounts give each batch's mean gradient as the per-position scatter loop does
     rng = RngState(seed)
-    ref = ReferenceModel(D, K)
+    ref = ReferenceModel(ExactDistribution(K, D, np.full(K ** D, float(K) ** -D)))
     ref.logits = 2.0 * rng.normal(ref.logits.shape)
-    ref.fitted = True
     x = rng.integers(0, K, size=(n, B, D))
     batched = ref.mean_grad_log_likelihood(x)
     assert batched.shape == (n, ref.n_params)
@@ -149,8 +146,7 @@ def test_reference_model_batched_gradient_matches_loop(n, B, D, K, seed):
 
 
 def test_gradient_moment_soundness():
-    ref = ReferenceModel(2, 2)
-    ref.fit_exact(Q)
+    ref = ReferenceModel(Q)
     rng = RngState(4)
 
     def data_sampler(n, r):
@@ -186,8 +182,7 @@ def _recording_sampler(side, seed, calls):
 
 
 def test_gradient_moment_draws_each_side_in_one_call():
-    ref = ReferenceModel(2, 2)
-    ref.fit_exact(Q)
+    ref = ReferenceModel(Q)
     calls = []
     gradient_moment(ref, _recording_sampler("gen", 1, calls),
                     _recording_sampler("data", 2, calls), 64, 200, RngState(0))
@@ -196,8 +191,7 @@ def test_gradient_moment_draws_each_side_in_one_call():
 
 def test_gradient_moment_calls_hold_whole_pairs_within_budget():
     # batch size 1 and more pairs than one call's row budget holds
-    ref = ReferenceModel(2, 2)
-    ref.fit_exact(Q)
+    ref = ReferenceModel(Q)
     calls = []
     n_pairs = GM_ROWS_PER_CALL // 2 + 3
     res = gradient_moment(ref, _recording_sampler("gen", 1, calls),
@@ -220,12 +214,6 @@ def test_gradient_moment_calls_hold_whole_pairs_within_budget():
     np.testing.assert_allclose(res.data_grad_norm, np.linalg.norm(q.mean(axis=0)), rtol=1e-12)
 
 
-def test_gradient_moment_requires_fitted_reference():
-    ref = ReferenceModel(2, 2)
-    with pytest.raises(MetricError):
-        gradient_moment(ref, CB.sample, CB.sample, 8, 2, RngState(0))
-
-
 def test_sample_entropy_uniform_tokens():
     samples = RngState(5).integers(0, 4, size=(100_000, 1))
     assert abs(sample_entropy(samples) - np.log(4.0)) < 0.02
@@ -246,8 +234,7 @@ def test_generator_output_entropy_uniform_model():
 
 
 def test_generative_perplexity():
-    ref = ReferenceModel(2, 2)
-    ref.fit_exact(Q)
+    ref = ReferenceModel(Q)
     data_ppl = generative_perplexity(ref, CB.sample(5000, RngState(9)))
     unif_ppl = generative_perplexity(ref, RngState(10).integers(0, 2, size=(5000, 2)))
     assert unif_ppl >= data_ppl

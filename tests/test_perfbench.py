@@ -54,3 +54,29 @@ def test_tracer_counts_sample_csv_rows(tmp_path):
                        f"rc = main({argv!r})\n"
                        "print(json.dumps([rc, tracer.layer_metrics()['cli.write_csv_rows']]))\n")
     assert (rc, rows) == (0, 37)
+
+
+def test_tracer_times_the_exact_kl_probes(tmp_path):
+    # the chain-KL helpers nest under their commands, and gm is timed, in a
+    # traced train-teacher -> distill -> eval run
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[dataset]\nkind = correlated_bits\nseq_len = 2\nvocab = 2\n"
+                   "[process]\nkind = masked\n"
+                   "[model]\nemb = 8\nhidden = 12\ndepth = 1\nn_noise = 4\n"
+                   "[teacher]\nsteps = 20\neval_every = 10\neval_steps = 4\n"
+                   "[distill]\nsteps = 10\neval_every = 5\nnoise_marginal_draws = 4\n"
+                   "[eval]\ngm_pairs = 4\n[run]\nrecord_wallclock = false\n")
+    common = ["--config", str(ini), "--out", str(tmp_path), "--seed", "0"]
+    argvs = [["train-teacher", *common],
+             ["distill", *common, "--teacher", str(tmp_path / "teacher.ckpt")],
+             ["eval", *common, "--checkpoint", str(tmp_path / "generator.ckpt"),
+              "--metrics", "exact_kl,gm"]]
+    rcs, missing, layers = _traced("from ddlab.cli import main\n"
+                                   f"rcs = [main(argv) for argv in {argvs!r}]\n"
+                                   "print(json.dumps([rcs, tracer.missing, "
+                                   "tracer.layer_metrics()]))\n")
+    assert rcs == [0, 0, 0]
+    assert set(missing) <= STALE, sorted(set(missing) - STALE)
+    for name in ("teacher.probe_s", "distill.probe_s", "metrics.exact_chain_s",
+                 "metrics.gradient_moment_s"):
+        assert layers[name] > 0, name
