@@ -144,9 +144,12 @@ def cmd_train_teacher(args) -> int:
     return 0
 
 
-def _load_compatible(path, cfg: ExperimentConfig) -> tuple[Denoiser, bool]:
+def _load_compatible(path, cfg: ExperimentConfig,
+                     teacher: bool = False) -> tuple[Denoiser, bool]:
     """The checkpoint's model, and whether it is a generator: recorded as
-    one, or taking input noise (a checkpoint without a recorded role)."""
+    one, or taking input noise (a checkpoint without a recorded role). With
+    `teacher`, anything but a teacher is an ArtifactError: a teacher is
+    recorded as one, or has no recorded role and no input noise."""
     try:
         model, extra = model_from_checkpoint(path)
     except (OSError, ModelError, ValueError) as exc:
@@ -155,14 +158,15 @@ def _load_compatible(path, cfg: ExperimentConfig) -> tuple[Denoiser, bool]:
     if model.config != want:
         raise ArtifactError(
             f"checkpoint {path} incompatible with config: {model.config} vs {want}")
-    return model, extra.get("role") == "generator" or model.config.n_noise > 0
+    role = extra.get("role")
+    if teacher and not (role == "teacher" or role is None and model.config.n_noise == 0):
+        raise ArtifactError(f"{path} is not a teacher checkpoint")
+    return model, role == "generator" or model.config.n_noise > 0
 
 
 def cmd_distill(args) -> int:
     cfg, seed, out, dataset, process = ctx = _context(args)
-    teacher, generator = _load_compatible(args.teacher, cfg)
-    if generator:
-        raise ArtifactError(f"{args.teacher} is not a teacher checkpoint")
+    teacher, _ = _load_compatible(args.teacher, cfg, teacher=True)
     dcfg = cfg.distill_config()
     distiller = Distiller(teacher, dataset, process, dcfg, RngState(seed).child(2),
                           n_noise=cfg.get("model", "n_noise"))

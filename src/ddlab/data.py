@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngState, categorical_sample
+# categorical_sample stays importable here: perfbench/tracer.py wraps
+# `ddlab.data.categorical_sample` by name
+from .numerics import RngState, categorical_sample, gumbel_argmax, row_error  # noqa: F401
 
 
 class DatasetError(ValueError):
@@ -73,6 +75,14 @@ class SyntheticDataset:
             self.initial = np.asarray(self.initial, dtype=np.float64)
         else:
             raise DatasetError(f"unknown dataset kind {self.kind!r}")
+        # the rows `sample` draws from, checked and logged once
+        rows = ([("mode_weights", self.mode_weights)] if self.kind != "markov_chain" else
+                [("initial", self.initial), ("transition", self.transition)])
+        for name, probs in rows:
+            error = row_error(probs)
+            if error is not None:
+                raise DatasetError(f"{name}: {error}")
+        self._logp = [np.log(np.maximum(probs, 1e-300)) for _, probs in rows]
 
     @property
     def enumerable(self) -> bool:
@@ -99,13 +109,18 @@ class SyntheticDataset:
         return q
 
     def sample(self, batch: int, rng: RngState) -> np.ndarray:
-        if self.kind in ("correlated_bits", "mode_mixture"):
-            which = categorical_sample(np.tile(self.mode_weights, (batch, 1)), rng)
+        """`batch` sequences, each position drawn by Gumbel-argmax on its
+        row's log-probabilities: the draws of a `categorical_sample` per
+        position, in the same order."""
+        if self.kind != "markov_chain":
+            (log_weights,) = self._logp
+            which = gumbel_argmax(np.broadcast_to(log_weights, (batch, len(log_weights))), rng)
             return self.modes[which]
+        log_initial, log_transition = self._logp
         x = np.empty((batch, self.seq_len), dtype=np.int64)
-        x[:, 0] = categorical_sample(np.tile(self.initial, (batch, 1)), rng)
+        x[:, 0] = gumbel_argmax(np.broadcast_to(log_initial, (batch, self.vocab)), rng)
         for d in range(1, self.seq_len):
-            x[:, d] = categorical_sample(self.transition[x[:, d - 1]], rng)
+            x[:, d] = gumbel_argmax(log_transition[x[:, d - 1]], rng)
         return x
 
 

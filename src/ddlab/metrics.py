@@ -8,8 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ENUM_GUARD, all_sequences
-from .numerics import RngState, entropy, log_softmax, one_hot
+from .data import ENUM_GUARD, all_sequences, seq_index
+from .numerics import RngState, entropy, log_softmax
 from .process import DiffusionProcess, likelihood, posterior_table
 
 
@@ -83,7 +83,8 @@ def kl(q: ExactDistribution, p: ExactDistribution, floor: float = 1e-12) -> floa
 
 
 # Largest block, in bytes, that the exact-chain DP and the oracle denoiser
-# build at once: both work through their source rows in chunks that fit it.
+# build at once: the DP works through its source rows in chunks that fit it,
+# the oracle through the times of a call.
 # A few thousand states still take one block per step (the two half joints
 # of 1,024 uniform states take 640 KiB per draw); only larger spaces pay for
 # more chunks.
@@ -345,41 +346,86 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
     return ExactDistribution(K, seq_len, dist)
 
 
+def _mode_product(m: np.ndarray, lik_t: np.ndarray, axis: int) -> np.ndarray:
+    """Sum the clean token on `axis` of m (G or 1, ...) against lik_t[g, c, z]
+    (G, K, keff): that axis becomes the noisy token."""
+    moved = np.moveaxis(m, axis, -1)
+    out = moved.reshape(len(m), -1, moved.shape[-1]) @ lik_t
+    return np.moveaxis(out.reshape(out.shape[:1] + moved.shape[1:-1] + (-1,)), -1, axis)
+
+
+def _conditionals(q: ExactDistribution, lik: np.ndarray) -> np.ndarray:
+    """q(x_d = c | z_t = z) for every noisy state z under each of G likelihood
+    matrices lik[g, z, c] = q(z_t = z | x = c) (G, keff, K): (G, keff^D, D, K),
+    states in all_sequences order.
+
+    The likelihood of z given x is a product over positions, so position d's
+    numerator, the sum over x with x_d = c of q(x) prod_e lik[z_e, x_e], is
+    lik[z_d, c] times q's (K,)*D tensor with every mode e != d multiplied by
+    lik: D - 1 mode products per position. A state outside the support of q
+    (a zero denominator) gets the uniform row.
+    """
+    G, keff, K = lik.shape
+    D = q.seq_len
+    tensor, lik_t = q.probs.reshape((1,) + (K,) * D), lik.transpose(0, 2, 1)
+    out = np.empty((G,) + (keff,) * D + (D, K))
+    for d in range(D):
+        m = tensor
+        for e in range(D):
+            if e != d:
+                m = _mode_product(m, lik_t, e + 1)
+        # the clean token of position d last, its noisy token in its place
+        num = (np.expand_dims(np.moveaxis(m, d + 1, -1), d + 1)
+               * lik.reshape((G,) + (1,) * d + (keff,) + (1,) * (D - 1 - d) + (K,)))
+        totals = num.sum(axis=-1, keepdims=True)
+        rows = out[..., d, :]
+        np.divide(num, np.maximum(totals, 1e-300), out=rows)
+        rows[totals[..., 0] <= 0.0] = 1.0 / K
+    return out.reshape(G, keff ** D, D, K)
+
+
 def oracle_denoiser(q: ExactDistribution, process: DiffusionProcess):
     """The exact conditional-marginal denoiser for data distribution q.
 
-    Returns predict(z_states, t) -> factorized probabilities q(x_d | z_t),
-    computed by enumeration over the support of q, in row chunks of at most
-    CHUNK_BYTES. `t` is a scalar or one time per row of z_states.
+    Returns predict(z_states, t) -> factorized probabilities q(x_d | z_t), a
+    gather from tables of every noisy state (`_conditionals`); `t` is a
+    scalar or one time per row of z_states.
+
+    Masked: the likelihood of z given any x that agrees with its revealed
+    tokens is alpha^R (1 - alpha)^(D - R) (R revealed positions), the same
+    for every such x, so it cancels. One table, built here from the 0/1
+    agreement matrix, serves every time; the pairs the forward process
+    cannot produce (a revealed token at alpha = 0, a MASK at alpha = 1) get
+    the uniform row, as states outside the support of q do.
+    Uniform: one table per distinct time of a call, built in groups of times
+    whose tables fit CHUNK_BYTES.
     """
-    seqs = all_sequences(q.seq_len, q.vocab)  # (M, D)
-    seq_oh = one_hot(seqs, q.vocab).reshape(len(seqs), -1)  # (M, D*K)
-    step = max(1, CHUNK_BYTES // (8 * seqs.size))
-    keff = process.vocab_eff
+    D, K, keff = q.seq_len, q.vocab, process.vocab_eff
+    if not chain_enumerable(process, D):
+        raise MetricError(f"state space {keff}^{D} exceeds enumeration guard")
+    if process.masked:
+        agree = np.eye(keff)[:, :K]
+        agree[process.mask_id] = 1.0  # MASK agrees with every token
+        table = _conditionals(q, agree[None])[0]
+    # a table and its temporaries, per time
+    per_group = max(1, CHUNK_BYTES // (8 * keff ** D * K * (D + 3)))
 
     def predict(z_states, t):
         z_states = np.asarray(z_states)
-        # lik[z, c] = q(z_t=z | x=c), with row r's table at rows r * keff + z
-        # when each row has its own time
-        lik = likelihood(process, t).reshape(-1, q.vocab)
-        base = (np.zeros(len(z_states), dtype=np.intp) if np.ndim(t) == 0
-                else np.arange(len(z_states)) * keff)
-        out = np.empty((z_states.shape[0], q.seq_len, q.vocab))
-        for lo in range(0, z_states.shape[0], step):
-            z = z_states[lo:lo + step] + base[lo:lo + step, None]
-            # prod_d q(z_d | x_d) for every (state, candidate x), one position
-            # at a time and in place: (n, M) arrays, never an (n, M, D) one
-            w = lik[z[:, 0, None], seqs[:, 0]]
-            for d in range(1, q.seq_len):
-                w *= lik[z[:, d, None], seqs[:, d]]
-            w *= q.probs
-            totals = w.sum(axis=1, keepdims=True)
-            w /= np.maximum(totals, 1e-300)
-            chunk = out[lo:lo + step]
-            chunk[:] = (w @ seq_oh).reshape(chunk.shape)
-            # states outside the support of q (a factorized sampler can produce
-            # them) get a uniform prediction rather than an all-zero row
-            chunk[totals[:, 0] <= 0.0] = 1.0 / q.vocab
+        idx = seq_index(z_states, keff)
+        if process.masked:
+            out = table[idx]
+            alpha = process.schedule.alpha(t)
+            revealed = (z_states != process.mask_id).sum(axis=1)
+            out[((alpha == 0.0) & (revealed > 0)) | ((alpha == 1.0) & (revealed < D))] = 1.0 / K
+            return out
+        times, inv = ((np.array([t], dtype=np.float64), np.zeros(len(idx), dtype=np.intp))
+                      if np.ndim(t) == 0 else np.unique(t, return_inverse=True))
+        out = np.empty((len(idx), D, K))
+        for lo in range(0, len(times), per_group):
+            tables = _conditionals(q, likelihood(process, times[lo:lo + per_group]))
+            rows = np.flatnonzero((inv >= lo) & (inv < lo + per_group))
+            out[rows] = tables[inv[rows] - lo, idx[rows]]
         return out
 
     return predict

@@ -101,8 +101,26 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-# how far a row of `categorical_sample` may stray below 0 or from a sum of 1
+# how far a row of probabilities may stray below 0 or from a sum of 1
 ROW_TOL = 1e-6
+
+
+def row_error(probs: np.ndarray) -> str | None:
+    """Why `probs` (last axis the categories) is not a stack of probability
+    rows within ROW_TOL, or None when it is."""
+    if np.any(probs < -ROW_TOL):
+        return "negative probabilities"
+    dev = np.abs(np.sum(probs, axis=-1) - 1.0)
+    if np.any(dev > ROW_TOL):
+        return f"rows must sum to 1 (max deviation {np.max(dev):.3g})"
+    return None
+
+
+def gumbel_argmax(logp: np.ndarray, rng: RngState) -> np.ndarray:
+    """Draw one token per row of log-probabilities `logp` by Gumbel-argmax."""
+    g = rng.gumbel(size=logp.shape)
+    g += logp
+    return np.argmax(g, axis=-1)
 
 
 def categorical_sample(probs: np.ndarray, rng: RngState) -> np.ndarray:
@@ -112,14 +130,13 @@ def categorical_sample(probs: np.ndarray, rng: RngState) -> np.ndarray:
     temperature-modified logits the same way as direct logit sampling.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if np.any(probs < -ROW_TOL):
-        raise NumericsError("negative probabilities")
-    sums = np.sum(probs, axis=-1)
-    if np.any(np.abs(sums - 1.0) > ROW_TOL):
-        raise NumericsError(f"rows must sum to 1 (max deviation {np.max(np.abs(sums - 1.0)):.3g})")
+    error = row_error(probs)
+    if error is not None:
+        raise NumericsError(error)
+    # the noise first: its temporaries are freed before the log-probabilities exist
     g = rng.gumbel(size=probs.shape)
-    logp = np.log(np.maximum(probs, 1e-300))
-    return np.argmax(logp + g, axis=-1)
+    g += np.log(np.maximum(probs, 1e-300))
+    return np.argmax(g, axis=-1)
 
 
 def distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,8 @@ through to numpy). On top of the ops it holds the tape forms of the network
 `finite_diff_check`, which checks a gradient against central differences.
 The tests compare the package's closed forms against these. Two small
 helpers only the tests use sit here too, `zero_grad` and `tv`, and the
-per-batch loop form of the reference model's gradient, and the list form of
-`RngState`'s generator.
+per-batch loop form of the reference model's gradient, the list form of
+`RngState`'s generator, and the enumeration form of the oracle denoiser.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import numpy as np
 
 from ddlab import numerics
 from ddlab.autodiff import ParamStore
+from ddlab.data import all_sequences
 from ddlab.distill import DistillError
 from ddlab.nets import Denoiser, _check_inputs, time_features
 from ddlab.numerics import one_hot
-from ddlab.process import DiffusionProcess, ProcessError
+from ddlab.process import DiffusionProcess, ProcessError, likelihood
 from ddlab.teacher import _noised_batch
 
 
@@ -320,6 +321,30 @@ def mean_grad_log_likelihood(ref, x: np.ndarray) -> np.ndarray:
         np.add.at(grad[d], (prev[:, d], x[:, d]), 1.0)
         np.add.at(grad[d], (prev[:, d],), -p[d, prev[:, d]])
     return grad.ravel() / x.shape[0]
+
+
+def enumerated_oracle_denoiser(q, process: DiffusionProcess):
+    """predict(z_states, t) -> q(x_d | z_t) per row by enumeration: for every
+    row, the posterior weight of each of the K^D clean sequences. The form
+    `ddlab.metrics.oracle_denoiser` replaces with mode products."""
+    seqs = all_sequences(q.seq_len, q.vocab)  # (M, D)
+    seq_oh = one_hot(seqs, q.vocab).reshape(len(seqs), -1)  # (M, D*K)
+
+    def predict(z_states, t):
+        z = np.asarray(z_states)
+        # lik[r, z, c] = q(z_t=z | x=c) at row r's time
+        lik = np.broadcast_to(likelihood(process, np.broadcast_to(t, len(z))),
+                              (len(z), process.vocab_eff, q.vocab))
+        rows = np.arange(len(z))[:, None]
+        w = np.prod([lik[rows, z[:, d, None], seqs[:, d]] for d in range(q.seq_len)], axis=0)
+        w = w * q.probs
+        totals = w.sum(axis=1, keepdims=True)
+        out = (w / np.maximum(totals, 1e-300) @ seq_oh).reshape(len(z), q.seq_len, q.vocab)
+        # states outside the support of q get a uniform prediction
+        out[totals[:, 0] <= 0.0] = 1.0 / q.vocab
+        return out
+
+    return predict
 
 
 @dataclass

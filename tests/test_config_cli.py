@@ -14,7 +14,7 @@ from ddlab.config import (SCHEMA, ConfigError, config_hash, load_config, parse_c
                           to_text)
 from ddlab.distill import DistillDivergence, Distiller, teacher_logits
 from ddlab.metrics import KNOWN_METRICS
-from ddlab.nets import Denoiser
+from ddlab.nets import Denoiser, save_checkpoint
 from ddlab.numerics import NumericsError, RngState, softmax
 from ddlab.process import ProcessError, ancestral_sample
 from ddlab.teacher import teacher_step
@@ -535,6 +535,18 @@ def test_cli_noise_free_generator_evaluates_its_k_step_chain(noise_free_path, tm
     with open(os.path.join(out, "sweep.csv")) as fh:
         swept = {row["value"]: row["exact_kl"] for row in csv.DictReader(fh.readlines()[1:])}
     assert swept == {"1": table["1"], "2": table["2"]}
+
+
+def test_cli_auxiliary_as_teacher_is_artifact_error(config_path, tmp_path):
+    # a teacher is recorded as one, or has no recorded role and no input noise;
+    # sample still runs an auxiliary checkpoint as a teacher
+    cfg = load_config(config_path)
+    ckpt = str(tmp_path / "auxiliary.ckpt")
+    aux = Denoiser(cfg.model_config(n_noise=0), RngState(0))
+    save_checkpoint(ckpt, aux.config, aux.store, extra={"role": "auxiliary"})
+    common = ["--config", config_path, "--out", str(tmp_path), "--seed", "0"]
+    assert main(["distill", *common, "--teacher", ckpt]) == 3
+    assert main(["sample", *common, "--checkpoint", ckpt, "--n", "5"]) == 0
 
 
 def test_cli_bad_resume_is_artifact_error(config_path, tmp_path):

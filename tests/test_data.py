@@ -7,7 +7,7 @@ import pytest
 
 from ddlab.data import (ENUM_GUARD, DatasetError, SyntheticDataset,
                         all_sequences, make_dataset, seq_index)
-from ddlab.numerics import RngState
+from ddlab.numerics import RngState, categorical_sample
 
 
 def test_all_sequences_order_and_shape():
@@ -96,3 +96,48 @@ def test_enumerable_property():
     assert make_dataset("correlated_bits", 2, 2).enumerable
     assert not SyntheticDataset("correlated_bits", 30, 2).enumerable
     assert ENUM_GUARD == 20000
+
+
+def _loop_sample(ds, batch, rng):
+    """The sampler as a `categorical_sample` per position on the dataset's rows."""
+    if ds.kind != "markov_chain":
+        return ds.modes[categorical_sample(np.tile(ds.mode_weights, (batch, 1)), rng)]
+    x = np.empty((batch, ds.seq_len), dtype=np.int64)
+    x[:, 0] = categorical_sample(np.tile(ds.initial, (batch, 1)), rng)
+    for d in range(1, ds.seq_len):
+        x[:, d] = categorical_sample(ds.transition[x[:, d - 1]], rng)
+    return x
+
+
+@pytest.mark.parametrize("kind", ["correlated_bits", "mode_mixture", "markov_chain"])
+def test_sample_matches_categorical_sample_per_position(kind):
+    # the same draws in the same order: equal tokens and equal RNG counters
+    for seed in range(4):
+        ds = make_dataset(kind, 5, 4, seed=seed)
+        fast, loop = RngState(seed).child(7), RngState(seed).child(7)
+        for batch in (1, 64, 301):
+            np.testing.assert_array_equal(ds.sample(batch, fast), _loop_sample(ds, batch, loop))
+            assert fast.counter == loop.counter
+    # a zero weight and a zero transition never drawn
+    ds = SyntheticDataset("markov_chain", 4, 3, initial=[0.0, 0.5, 0.5],
+                          transition=[[0.5, 0.5, 0], [0, 1, 0], [0.2, 0.3, 0.5]])
+    np.testing.assert_array_equal(ds.sample(500, RngState(1)), _loop_sample(ds, 500, RngState(1)))
+
+
+@pytest.mark.parametrize("field, rows, message", [
+    ("mode_weights", [0.5, 0.6], "mode_weights: rows must sum to 1"),
+    ("mode_weights", [1.5, -0.5], "mode_weights: negative"),
+    ("transition", [[0.5, 0.5], [0.9, 0.2]], "transition: rows must sum to 1"),
+    ("transition", [[1.1, -0.1], [0.5, 0.5]], "transition: negative"),
+    ("initial", [0.3, 0.3], "initial: rows must sum to 1"),
+])
+def test_bad_rows_raise_at_construction(field, rows, message):
+    if field == "mode_weights":
+        kwargs = {"modes": np.array([[0, 1], [1, 0]])}
+        kind = "mode_mixture"
+    else:
+        kwargs = {"transition": np.full((2, 2), 0.5)}
+        kind = "markov_chain"
+    kwargs[field] = np.array(rows)
+    with pytest.raises(DatasetError, match=message):
+        SyntheticDataset(kind, 2, 2, **kwargs)

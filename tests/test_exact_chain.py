@@ -382,6 +382,21 @@ def test_oracle_chain_on_six_positions_fits_address_limit():
     assert report["peak_mb"] < PEAK_BOUND_MB
 
 
+def test_uniform_oracle_chain_on_seven_positions_fits_address_limit():
+    # the largest admitted uniform space: one table of 16,384 states per time
+    report = run_limited(
+        "from ddlab.data import make_dataset\n"
+        "from ddlab.metrics import ExactDistribution, factorized_oracle_chain\n"
+        "from ddlab.process import DiffusionProcess\n"
+        "ds = make_dataset('markov_chain', 7, 4)\n"
+        "q = ExactDistribution(4, 7, ds.exact_q())\n"
+        "dist = factorized_oracle_chain(q, DiffusionProcess('uniform', 4), 2)\n"
+        "sums = [float(dist.probs.sum())]\n"
+    )
+    assert abs(report["sums"][0] - 1.0) < 1e-9
+    assert report["peak_mb"] < PEAK_BOUND_MB
+
+
 @pytest.mark.parametrize("kind, seq_len, k", [("masked", 6, 4), ("uniform", 7, 1)])
 def test_largest_admitted_spaces_fit_address_limit(kind, seq_len, k):
     assert DiffusionProcess(kind, 4).vocab_eff ** seq_len <= ENUM_GUARD

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ddlab.data import all_sequences, make_dataset, seq_index
+from ddlab.data import ENUM_GUARD, all_sequences, make_dataset, seq_index
 from ddlab.metrics import (GM_ROWS_PER_CALL, ExactDistribution, GradientMomentResult,
                            MetricError, ReferenceModel, exact_chain_distribution,
                            factorized_oracle_chain, generative_perplexity,
@@ -14,7 +14,7 @@ from ddlab.metrics import (GM_ROWS_PER_CALL, ExactDistribution, GradientMomentRe
 from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState
 from ddlab.process import DiffusionProcess, NoiseSchedule, ancestral_sample
-from oracle import mean_grad_log_likelihood as oracle_mean_grad, tv
+from oracle import enumerated_oracle_denoiser, mean_grad_log_likelihood as oracle_mean_grad, tv
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
 CB = make_dataset("correlated_bits", 2, 2)
@@ -101,6 +101,46 @@ def test_oracle_denoiser_marginals():
     out = predict(half, 0.5)
     np.testing.assert_allclose(out[0, 0], [0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(out[0, 1], [0.0, 1.0], atol=1e-12)
+
+
+def _q_with_zeros(K: int, D: int, seed: int) -> ExactDistribution:
+    # about a third of the sequences at zero: some noisy states fall outside the support
+    gen = np.random.default_rng(seed)
+    w = gen.uniform(0.1, 1.0, size=K ** D) * (gen.uniform(size=K ** D) > 0.3)
+    w[0] = max(w[0], 0.1)
+    return ExactDistribution(K, D, w / w.sum())
+
+
+@pytest.mark.parametrize("schedule", ["linear", "cosine"])
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+@pytest.mark.parametrize("K, D", [(K, D) for K in (2, 3, 4) for D in (1, 2, 3, 5)])
+def test_oracle_denoiser_matches_enumeration(kind, K, D, schedule):
+    process = DiffusionProcess(kind, K, NoiseSchedule(schedule))
+    assert process.vocab_eff ** D <= ENUM_GUARD
+    q = _q_with_zeros(K, D, seed=10 * K + D)
+    z = all_sequences(D, process.vocab_eff)
+    # per-row times, t = 0 and t = 1 among them
+    per_row = np.random.default_rng(K * D).uniform(size=len(z))
+    per_row[::3], per_row[1::5] = 0.0, 1.0
+    predict, reference = oracle_denoiser(q, process), enumerated_oracle_denoiser(q, process)
+    for t in (0.0, 0.2, 0.9, 1.0, per_row):
+        np.testing.assert_allclose(predict(z, t), reference(z, t), rtol=0, atol=1e-13,
+                                   err_msg=f"t={t}")
+
+
+def test_masked_oracle_table_does_not_depend_on_time():
+    process = DiffusionProcess("masked", 4)
+    predict = oracle_denoiser(_q_with_zeros(4, 3, seed=1), process)
+    z = all_sequences(3, 5)
+    np.testing.assert_array_equal(predict(z, 0.2), predict(z, 0.9))
+
+
+def test_oracle_denoiser_rejects_spaces_past_guard():
+    # masked K=4 D=7: 4^7 clean sequences pass the guard, 5^7 noisy states do not
+    q = ExactDistribution(4, 7, np.full(4 ** 7, 4.0 ** -7))
+    oracle_denoiser(q, DiffusionProcess("uniform", 4))
+    with pytest.raises(MetricError, match="exceeds enumeration guard"):
+        oracle_denoiser(q, DiffusionProcess("masked", 4))
 
 
 def test_reference_model_fit_exact_is_stationary():
