@@ -68,6 +68,9 @@ class ExactDistribution:
         n = self.vocab ** self.seq_len
         if self.probs.shape != (n,):
             raise MetricError(f"expected {n} entries, got {self.probs.shape}")
+        # NaN passes the sum check below, and entries like [1.5, -0.5] sum to 1
+        if not np.all(self.probs >= 0) or not np.isfinite(self.probs).all():
+            raise MetricError("probabilities must be finite and non-negative")
         if abs(self.probs.sum() - 1.0) > 1e-9:
             raise MetricError(f"probabilities sum to {self.probs.sum():.12f}")
 
@@ -90,10 +93,13 @@ def kl(q: ExactDistribution, p: ExactDistribution, floor: float = 1e-12) -> floa
 # more chunks.
 CHUNK_BYTES = 32 * 2 ** 20
 # Most rows of one exact-chain `predict` call that holds several chain steps.
-# Past ~1k rows a network forward costs ~3.2 us per row at D=5 for every
-# block size from 64 KiB to 4 MiB (2-core x86-64), so larger calls save no
-# dispatch; calls of ENUM_GUARD rows raised the markov_uniform benchmark's
-# peak RSS from 55.1 to 62.1 MB, calls of 1,024 rows left it at 55.1 MB.
+# Past ~1k rows a network forward's cost per row no longer falls at D=5:
+# 1,024 to 4,096 rows took 3.2-4.8 us per row when block 0 is read from the
+# run table (one time, shared noise) and 5.1-6.5 us per position (per-row
+# noise), in two runs on a 2-core x86-64 host whose speed swings, so larger
+# calls save no dispatch; calls of ENUM_GUARD rows raised the
+# markov_uniform benchmark's peak RSS from 55.1 to 62.1 MB, calls of 1,024
+# rows left it at 55.1 MB.
 PREDICT_ROWS = 1024
 
 

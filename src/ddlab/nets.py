@@ -51,6 +51,8 @@ def time_features(t, width: int, batch: int) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim == 0:
         t = np.full(batch, float(t))
+    elif t.shape != (batch,):
+        raise ModelError(f"t must be a scalar or have shape ({batch},), got {t.shape}")
     freqs = np.pi * 2.0 ** np.arange(width // 2)
     angles = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
@@ -101,6 +103,10 @@ def _check_inputs(config: ModelConfig, params, z, noise):
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] != config.seq_len:
         raise ModelError(f"tokens must have shape (batch, {config.seq_len})")
+    if z.shape[0] == 0:
+        raise ModelError("tokens hold no row")
+    if z.dtype.kind not in "iu":
+        raise ModelError(f"tokens must be integers, got dtype {z.dtype}")
     if z.min() < 0 or z.max() >= config.vocab_in:
         raise ModelError(f"token id out of range for vocab_in={config.vocab_in}")
     batch = z.shape[0]
@@ -115,40 +121,104 @@ def _check_inputs(config: ModelConfig, params, z, noise):
     return z, noise
 
 
-def _fused_forward(config: ModelConfig, params, z, tfeat, noise, cache=None):
-    """The network's forward on plain arrays.
+def _embed(params, z, tfeat, noise):
+    """Block 0's input (B, D, E): embed[z] plus each row's time and noise projections."""
+    h = params["embed"][z]
+    h += (tfeat @ params["time_w"])[:, None, :]
+    if noise is not None:
+        h += (noise @ params["noise_w"])[:, None, :]
+    return h
+
+
+def _channel_mlp(params, b, h):
+    """Block b's channel MLP on rows h (n, E): (its tanh activation, h + MLP(h)).
+
+    Bias, tanh and residual act in place on fresh products, so h is left as it was.
+    """
+    u = h @ params[f"blk{b}_ch_w1"]
+    u += params[f"blk{b}_ch_b1"]
+    np.tanh(u, out=u)
+    m = u @ params[f"blk{b}_ch_w2"]
+    m += params[f"blk{b}_ch_b2"]
+    m += h
+    return u, m
+
+
+def _input_table(config: ModelConfig, params, z, t, tfeat, noise):
+    """(table, index) for rows that fall in few runs sharing (t, noise), else None.
+
+    Block 0's channel MLP runs before any position mixing, so it reads only
+    embed[token] plus the row's time and noise projections. Row r * V + v
+    of `table` holds its output for token v in run r of consecutive rows
+    with equal t and noise, and `table[index]` is block 0's output for
+    every row. Taken for at most B * D / (2 * V) runs, when the table holds
+    at most half the rows of the per-position product it replaces.
+    """
+    B, D = z.shape
+    V = config.vocab_in
+    most = B * D // (2 * V)
+    t = np.asarray(t)
+    starts = np.zeros(B, dtype=bool)  # row i opens a run
+    if t.ndim:
+        np.not_equal(t[1:], t[:-1], out=starts[1:])
+        if np.count_nonzero(starts) >= most:  # per-row times: no need to read the noise
+            return None
+    starts[0] = True
+    if noise is not None:
+        starts[1:] |= (noise[1:] != noise[:-1]).any(axis=1)
+    first = np.flatnonzero(starts)
+    if len(first) > most:
+        return None
+    # products of fewer than 8 rows round differently (see `_fused_forward`):
+    # pad with repeats of the last run
+    first = np.append(first, np.full(max(0, 8 - len(first)), first[-1]))
+    tokens = np.broadcast_to(np.arange(V), (len(first), V))
+    h = _embed(params, tokens, tfeat[first], None if noise is None else noise[first])
+    _, table = _channel_mlp(params, 0, h.reshape(-1, config.emb))
+    return table, (np.cumsum(starts) - 1)[:, None] * V + z
+
+
+def _fused_forward(config: ModelConfig, params, h, out, cache=None, mixed=False):
+    """The network's forward on plain arrays, from block 0's input h (B, D, E)
+    to the logits, written into out (B, D, K).
 
     Matrix products run as one 2-D product over (rows, width) arrays: numpy
     rounds a stack of matrices differently from one product over the same
     rows. The tape oracle of the tests runs the same ops in the same order
-    and gives the same logits bit for bit. With a `cache` dict it keeps the
-    activations `_fused_backward` reads.
+    and gives the same logits bit for bit. With `mixed`, h is already block
+    0's channel-MLP output (read from `_input_table`), which then starts at
+    block 0's position mix. With a `cache` dict it keeps the activations
+    `_fused_backward` reads.
+
+    The table's rows equal the per-position rows only under a rounding
+    condition, measured on numpy 2.4 with OpenBLAS 0.3 (x86-64): a 1-row
+    product rounds differently from the same row inside a larger product,
+    for every shape tried; the channel-MLP and projection products matched
+    row for row from 2 rows on; and the 2-column head of K = 2 rounds its
+    trailing rows differently. So every table product has at least 8 rows,
+    and the head runs per row.
     """
-    B, D = z.shape
-    E = config.emb
-    h = params["embed"][z]
-    h = h + (tfeat @ params["time_w"])[:, None, :]
-    if noise is not None:
-        h = h + (noise @ params["noise_w"])[:, None, :]
+    B, D, E = h.shape
     blocks = []
     for b in range(config.depth):
-        # in-place bias and tanh on fresh products: same values, fewer allocations
-        u = h.reshape(-1, E) @ params[f"blk{b}_ch_w1"]
-        u += params[f"blk{b}_ch_b1"]
-        np.tanh(u, out=u)
-        m = u @ params[f"blk{b}_ch_w2"]
-        m += params[f"blk{b}_ch_b2"]
-        h_in, h = h, h + m.reshape(B, D, E)
-        ht = np.swapaxes(h, 1, 2).reshape(-1, D)  # (B*E, D): mix across positions
+        h_in, u = h, None
+        if b or not mixed:
+            u, h = _channel_mlp(params, b, h.reshape(-1, E))
+            h = h.reshape(B, D, E)
+        # a copy even where a view would do (D = 1): the residual add below writes h
+        ht = np.swapaxes(h, 1, 2).copy().reshape(-1, D)  # (B*E, D): mix across positions
         p = ht @ params[f"blk{b}_pos_w"]
         p += params[f"blk{b}_pos_b"]
         np.tanh(p, out=p)
-        h = h + np.swapaxes(p.reshape(B, E, D), 1, 2)
-        blocks.append((h_in, u, ht, p))
+        h += np.swapaxes(p.reshape(B, E, D), 1, 2)
+        if cache is not None:
+            blocks.append((h_in, u, ht, p))
     h = h.reshape(-1, E)
+    logits = out.reshape(-1, config.vocab)
+    np.matmul(h, params["head_w"], out=logits)
+    logits += params["head_b"]
     if cache is not None:
-        cache.update(z=z, tfeat=tfeat, noise=noise, blocks=blocks, h=h)
-    return (h @ params["head_w"] + params["head_b"]).reshape(B, D, config.vocab)
+        cache.update(blocks=blocks, h=h)
 
 
 def _fused_backward(config: ModelConfig, params, cache, dlogits, store: ParamStore) -> None:
@@ -207,20 +277,32 @@ class Denoiser:
 
     def forward(self, z, t, noise=None, params=None, cache=None):
         """Logits (batch, D, K). `params` maps names to weight arrays (the
-        store's by default); `cache` keeps the activations for `backward`."""
+        store's by default); `cache` keeps the activations for `backward`.
+
+        Without a cache the rows run in blocks of `_block_rows`, and a call
+        of at least one block whose rows share (t, noise) in few runs reads
+        block 0 from `_input_table`."""
+        config = self.config
         params = self.store.arrays() if params is None else params
-        z, noise = _check_inputs(self.config, params, z, noise)
-        tfeat = time_features(t, self.config.time_width, z.shape[0])
-        rows = _block_rows(self.config)
-        n_blocks = z.shape[0] // rows
-        if cache is not None or n_blocks < 2:
-            return _fused_forward(self.config, params, z, tfeat, noise, cache)
+        z, noise = _check_inputs(config, params, z, noise)
+        B = z.shape[0]
+        tfeat = time_features(t, config.time_width, B)
+        out = np.empty((B, config.seq_len, config.vocab))
+        if cache is not None:
+            cache.update(z=z, tfeat=tfeat, noise=noise)
+            _fused_forward(config, params, _embed(params, z, tfeat, noise), out, cache)
+            return out
+        rows = _block_rows(config)
+        runs = None if B < rows else _input_table(config, params, z, t, tfeat, noise)
         # the last block takes the remainder, so no block is short
-        bounds = [i * rows for i in range(n_blocks)] + [z.shape[0]]
-        out = np.empty(z.shape + (self.config.vocab,))
+        bounds = [i * rows for i in range(max(1, B // rows))] + [B]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            out[lo:hi] = _fused_forward(self.config, params, z[lo:hi], tfeat[lo:hi],
-                                        None if noise is None else noise[lo:hi])
+            if runs is None:
+                h = _embed(params, z[lo:hi], tfeat[lo:hi], None if noise is None else noise[lo:hi])
+            else:
+                table, index = runs
+                h = table[index[lo:hi]]
+            _fused_forward(config, params, h, out[lo:hi], mixed=runs is not None)
         return out
 
     def probs(self, z, t, noise=None) -> np.ndarray:

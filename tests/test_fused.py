@@ -21,8 +21,8 @@ MASKED = DiffusionProcess("masked", 3, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 3, NoiseSchedule("linear"))
 
 
-def _random_model(masked, n_noise, depth, seed=0):
-    cfg = ModelConfig(seq_len=4, vocab=3, masked=masked, emb=8, hidden=12,
+def _random_model(masked, n_noise, depth, seed=0, vocab=3, seq_len=4):
+    cfg = ModelConfig(seq_len=seq_len, vocab=vocab, masked=masked, emb=8, hidden=12,
                       depth=depth, time_width=4, n_noise=n_noise)
     model = Denoiser(cfg, RngState(seed))
     model.store.values[:] = RngState(seed + 1).normal(model.store.values.shape) * 0.5
@@ -37,15 +37,50 @@ def _inputs(model, batch, per_example_t, seed=10):
     return z, t, noise
 
 
+def _dp_inputs(model, n_times, draws, states, seed=10):
+    """The exact-chain DP's layout: rows run time-major, then draw, then state."""
+    cfg = model.config
+    z = np.tile(RngState(seed).integers(0, cfg.vocab_in, size=(states, cfg.seq_len)),
+                (n_times * draws, 1))
+    times = RngState(seed + 1).uniform(size=n_times)
+    t = 0.37 if n_times == 1 else np.repeat(times, draws * states)
+    noise = None
+    if cfg.n_noise:
+        eps = np.repeat(RngState(seed + 2).normal((draws, cfg.n_noise)), states, axis=0)
+        noise = np.tile(eps, (n_times, 1))
+    return z, t, noise
+
+
+# (vocab, n_times, draws, states) of the DP layouts: one time and several
+# draws; several per-row times; K = 2, whose table of vocab_in <= 3 rows per
+# run is padded; and 201 rows, so B * D is not a multiple of 8
+DP_LAYOUTS = {"dp": (3, 1, 3, 70), "dp_times": (3, 3, 2, 40), "dp_k2": (2, 1, 2, 150),
+              "dp_odd": (3, 1, 3, 67)}
+
+
+# True / False: independent rows with per-row times or one shared time (and
+# per-row noise with n_noise = 8, so every row is a run of its own)
 @pytest.mark.parametrize("masked", [True, False])
 @pytest.mark.parametrize("n_noise", [0, 8])
-@pytest.mark.parametrize("per_example_t", [True, False])
+@pytest.mark.parametrize("per_example_t", [True, False, *DP_LAYOUTS])
 def test_nograd_forward_equals_tape_forward(masked, n_noise, per_example_t):
-    model = _random_model(masked, n_noise, depth=2)
+    if per_example_t in DP_LAYOUTS:
+        vocab, n_times, draws, states = DP_LAYOUTS[per_example_t]
+        model = _random_model(masked, n_noise, depth=2, vocab=vocab)
+        z, t, noise = _dp_inputs(model, n_times, draws, states)
+    else:
+        model = _random_model(masked, n_noise, depth=2)
+        rows = nets._block_rows(model.config)
+        batch = 2 * rows + 37  # two row blocks; the last one takes the 37-row remainder
+        z, t, noise = _inputs(model, batch, per_example_t)
     cfg = model.config
-    rows = nets._block_rows(cfg)
-    batch = 2 * rows + 37  # two row blocks; the last one takes the 37-row remainder
-    z, t, noise = _inputs(model, batch, per_example_t)
+    # every row a run of its own (per-row times or per-row noise) keeps the
+    # per-position path; one shared time and the DP layouts read the run table
+    per_row = per_example_t is True or (per_example_t is False and n_noise > 0)
+    table = nets._input_table(cfg, model.store.arrays(), z, t,
+                              nets.time_features(t, cfg.time_width, len(z)), noise)
+    assert (table is None) == per_row
+    assert len(z) >= nets._block_rows(cfg)
     fused = model.forward(z, t, noise=noise)
     tape = tape_forward(model, z, t, noise=noise)
     assert isinstance(tape, ad.Var)
@@ -76,7 +111,16 @@ def _tape_grads(model, z, t, noise, dlogits):
 @pytest.mark.parametrize("n_noise", [0, 8])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_fused_gradients_match_tape(masked, n_noise, depth):
-    model = _random_model(masked, n_noise, depth, seed=20)
+    _assert_gradients_match_tape(_random_model(masked, n_noise, depth, seed=20))
+
+
+def test_fused_gradients_match_tape_at_one_position():
+    # at D = 1 the position mix's (B*E, D) transpose can be a view of h,
+    # which the residual add then writes in place
+    _assert_gradients_match_tape(_random_model(True, 8, depth=2, seed=20, seq_len=1))
+
+
+def _assert_gradients_match_tape(model):
     z, t, noise = _inputs(model, 64, per_example_t=True, seed=30)
     dlogits = RngState(40).normal((64, model.config.seq_len, model.config.vocab))
     tape = _tape_grads(model, z, t, noise, dlogits)

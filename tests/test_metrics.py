@@ -26,6 +26,9 @@ def test_exact_distribution_validates():
         ExactDistribution(2, 2, np.array([0.6, 0.2, 0.1, 0.2]))
     with pytest.raises(MetricError):
         ExactDistribution(2, 2, np.array([1.0]))
+    for bad in ([np.nan, np.nan], [1.5, -0.5], [np.inf, 0.0]):
+        with pytest.raises(MetricError, match="finite and non-negative"):
+            ExactDistribution(2, 1, np.array(bad))
 
 
 def test_kl_hand_values():

@@ -42,6 +42,15 @@ def test_forward_validates_tokens():
         model.forward(np.array([[0, 1]]), 0.5)  # wrong length
     with pytest.raises(ModelError):
         model.forward(np.array([[0, 1, 3]]), 0.5)  # id out of range
+    with pytest.raises(ModelError, match="no row"):
+        model.forward(np.zeros((0, 3), dtype=np.int64), 0.5)
+    with pytest.raises(ModelError, match="integers"):
+        model.forward(np.array([[0.0, 1.0, 2.0]]), 0.5)
+    z = np.zeros((4, 3), dtype=np.int64)
+    for t in (np.full(3, 0.5), np.full(5, 0.5), np.full((4, 1), 0.5), np.full(1, 0.5)):
+        with pytest.raises(ModelError, match="t must be"):
+            model.forward(z, t)  # per-row t of a shape other than (batch,)
+    assert model.forward(z, np.full(4, 0.5)).shape == (4, 3, CFG.vocab)
 
 
 def test_cross_position_mixing():
