@@ -89,21 +89,30 @@ def _teacher_predict(model: Denoiser, dcfg):
     return predict
 
 
-def _teacher_chain_kl(model: Denoiser, ctx: Context, k: int) -> float:
+def _chain_kls(ctx: Context, p):
+    """KL(q || p) for one chain distribution, or a list for several."""
+    q = _exact_q(ctx.dataset)
+    return kl(q, p) if isinstance(p, ExactDistribution) else [kl(q, d) for d in p]
+
+
+def _teacher_chain_kl(model: Denoiser, ctx: Context, k: int | tuple[int, ...]):
+    """The teacher's exact KL after logit surgery at k steps, or a list at
+    each k of a tuple, from one pass."""
     # no distinct_rows grouping: the DP's rows are already distinct, and on small
     # spaces it hands the teacher several steps per call with per-row times
-    p = exact_chain_distribution(_teacher_predict(model, ctx.cfg.distill_config()), ctx.process,
-                                 k, ctx.dataset.seq_len)
-    return kl(_exact_q(ctx.dataset), p)
+    return _chain_kls(ctx, exact_chain_distribution(
+        _teacher_predict(model, ctx.cfg.distill_config()), ctx.process, k, ctx.dataset.seq_len))
 
 
-def _student_chain_kl(gen: Denoiser, ctx: Context, k: int) -> float:
+def _student_chain_kl(gen: Denoiser, ctx: Context, k: int | tuple[int, ...]):
+    """The generator's exact KL at k steps, marginalized over its fixed noise
+    draws, or a list at each k of a tuple, from one pass."""
     noise = None
     if gen.config.n_noise > 0:
         draws = ctx.cfg.get("distill", "noise_marginal_draws")
         noise = RngState(ctx.seed).child(901).normal((draws, gen.config.n_noise))
-    p = exact_chain_distribution(gen.probs, ctx.process, k, ctx.dataset.seq_len, noise_draws=noise)
-    return kl(_exact_q(ctx.dataset), p)
+    return _chain_kls(ctx, exact_chain_distribution(gen.probs, ctx.process, k,
+                                                    ctx.dataset.seq_len, noise_draws=noise))
 
 
 def _check_computable(names, ctx: Context) -> None:
@@ -137,7 +146,8 @@ def cmd_train_teacher(args) -> int:
     _write_csv(os.path.join(out, "teacher_log.csv"),
                ["step", "loss", "eval_kl", "wallclock_ms"], rows, cfg, seed)
     if chain_enumerable(process, dataset.seq_len):
-        table = [{"steps": n, "kl": _teacher_chain_kl(model, ctx, n)} for n in (1, 2, 4, 8, 16)]
+        steps = (1, 2, 4, 8, 16)
+        table = [{"steps": n, "kl": v} for n, v in zip(steps, _teacher_chain_kl(model, ctx, steps))]
         _write_csv(os.path.join(out, "teacher_kl_vs_steps.csv"), ["steps", "kl"], table,
                    cfg, seed)
     print(f"teacher checkpoint and logs written to {out}")
@@ -176,8 +186,15 @@ def cmd_distill(args) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ArtifactError(f"cannot resume from {args.resume}: {exc}")
 
+    # the table's k; the last probe measures the final generator at all of them
+    ks = tuple(sorted({1, 2, 4, dcfg.k}))
+    final = {}
+
     def eval_fn(d: Distiller) -> float:
-        return _student_chain_kl(d.generator, ctx, dcfg.k)
+        if d.step_index != dcfg.steps:
+            return _student_chain_kl(d.generator, ctx, dcfg.k)
+        final.update(zip(ks, _student_chain_kl(d.generator, ctx, ks)))
+        return final[dcfg.k]
 
     # beyond the guard the probes log NaN and the KL table is skipped
     exact = chain_enumerable(process, dataset.seq_len)
@@ -193,18 +210,10 @@ def cmd_distill(args) -> int:
                ["step", "phase", "loss", "gen_output_entropy", "eval_kl"],
                distiller.log_rows, cfg, seed)
     if exact:
-        # the last probe already measured the final generator at k = dcfg.k
-        rows = distiller.log_rows
-        final_kl = (rows[-1]["eval_kl"] if rows and rows[-1]["step"] == distiller.step_index - 1
-                    else None)
-        table = []
-        for k in sorted({1, 2, 4, dcfg.k}):
-            if k == dcfg.k and final_kl is not None:
-                student_kl = final_kl
-            else:
-                student_kl = _student_chain_kl(distiller.generator, ctx, k)
-            table.append({"k": k, "student_kl": student_kl,
-                          "teacher_kl": _teacher_chain_kl(teacher, ctx, k)})
+        # without a last probe in this process (nothing left to run), one pass here
+        student = final or dict(zip(ks, _student_chain_kl(distiller.generator, ctx, ks)))
+        table = [{"k": k, "student_kl": student[k], "teacher_kl": v}
+                 for k, v in zip(ks, _teacher_chain_kl(teacher, ctx, ks))]
         _write_csv(os.path.join(out, "student_kl_vs_k.csv"),
                    ["k", "student_kl", "teacher_kl"], table, cfg, seed)
     print(f"distilled checkpoints and logs written to {out}")

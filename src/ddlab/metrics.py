@@ -266,42 +266,52 @@ def _chunks(per_pos: np.ndarray, groups):
                    None if succ is None else succ[a:a + step])
 
 
-def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len: int,
-                             noise_draws: np.ndarray | None = None) -> ExactDistribution:
+def exact_chain_distribution(predict, process: DiffusionProcess, k: int | tuple[int, ...],
+                             seq_len: int, noise_draws: np.ndarray | None = None
+                             ) -> ExactDistribution | list[ExactDistribution]:
     """Exact distribution of the k-step ancestral sampler, by dynamic programming.
 
-    `predict(z_states, t)` (or `predict(z_states, t, eps)` when `noise_draws`
-    is given) returns per-position probabilities over the data vocabulary,
-    shape (n, D, K), for n states: `t` is a float when the call holds one
-    chain step and an (n,) array of per-row times when it holds several.
-    Noise-conditioned generators are marginalized over the fixed
-    `noise_draws` rows (eps then has one row per state row), and the joint
-    per-state transition is averaged over draws after the product across
-    positions, since positions are only independent given the noise.
+    `k` is an int, or a tuple of ints for several chains in one pass, which
+    returns one ExactDistribution per entry. `predict(z_states, t)` (or
+    `predict(z_states, t, eps)` when `noise_draws` is given) returns
+    per-position probabilities over the data vocabulary, shape (n, D, K),
+    for n states: `t` is a float when the call holds one time and an (n,)
+    array of per-row times when it holds several. Noise-conditioned
+    generators are marginalized over the fixed `noise_draws` rows (eps then
+    has one row per state row), and the joint per-state transition is
+    averaged over draws after the product across positions, since positions
+    are only independent given the noise.
 
     Each state only reaches the states that differ from it in its free
     positions (all of them for a uniform chain, its MASK positions for a
     masked one), and fully revealed states never move. The DP runs one loop
-    over `predict` calls, each of n consecutive steps and r whole draws: the
-    call builds the joints over each state's free positions for all its
-    steps and draws in one pass, then scatters the mass of each step in turn to
-    those successors, weighted by the call's share r / R of the average over
-    draws. The all-free states, which reach every state, are scattered by
-    one matrix product of two half-length joints (see `_scatter`).
+    over `predict` calls, each of n consecutive times of the union of the
+    chains' grids i / k and r whole draws. Every chain that steps at one of
+    a call's times reads the call's rows at its own times, builds the joints
+    over each state's free positions for all its steps and draws in the call
+    in one pass, then scatters the mass of each step in turn to those successors,
+    weighted by the call's share r / R of the average over draws. The
+    all-free states, which reach every state, are scattered by one matrix
+    product of two half-length joints (see `_scatter`). A time on several
+    grids is predicted once for all of them.
 
-    The first step runs alone on the all-MASK state (masked) or every state
-    (uniform). A later step shares a call with as many whole steps as fit in
+    The first time, 1, runs alone on the all-MASK state (masked) or every
+    state (uniform). A later time shares a call with as many times as fit in
     PREDICT_ROWS rows with every draw, on every state with a free position
-    (rows of states without mass add nothing); when two steps do not fit, it
-    runs alone on the states that hold mass. Memory has one bound, for every
-    space up to ENUM_GUARD (20,000 states) and any number of draws: a call
-    holds at most ENUM_GUARD rows and builds its joints in row chunks of at
-    most CHUNK_BYTES. A call of one step scatters each chunk as it is built.
-    A call of several steps keeps its chunks for all its steps; it holds at
-    most PREDICT_ROWS rows of at most PREDICT_ROWS / 2 states, and a row's
-    joints are no wider than twice its states, so they take at most 8 MiB.
+    (rows of states without mass add nothing); when two times do not fit, it
+    runs alone on the states that hold mass in any chain stepping there.
+    Memory has one bound, for every space up to ENUM_GUARD (20,000 states)
+    and any number of draws: a call holds at most ENUM_GUARD rows and builds
+    each chain's joints in row chunks of at most CHUNK_BYTES. A call of one
+    time scatters each chunk as it is built. A chain with several steps in a
+    call keeps its chunks for all of them; such a call holds at most
+    PREDICT_ROWS rows of at most PREDICT_ROWS / 2 states, and a row's joints
+    are no wider than twice its states, so they take at most 8 MiB.
     """
-    if k < 1:
+    ks = k if isinstance(k, tuple) else (k,)
+    if not ks:
+        raise MetricError("k holds no chain length")
+    if min(ks) < 1:
         raise MetricError(f"k must be >= 1, got {k}")
     if noise_draws is not None and len(noise_draws) == 0:
         raise MetricError("noise_draws holds no draw")
@@ -311,45 +321,61 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int, seq_len
         raise MetricError(f"state space {keff}^{seq_len} exceeds enumeration guard")
     plan = _chain_plan(keff, seq_len, process.mask_id if process.masked else None)
 
-    dist = np.zeros(n_states)
+    start = np.zeros(n_states)
     if process.masked:
-        dist[-1] = 1.0  # the all-MASK state
+        start[-1] = 1.0  # the all-MASK state
     else:
-        dist[:] = 1.0 / n_states
+        start[:] = 1.0 / n_states
+    dist = {c: start for c in ks}  # per chain length; a step builds a new array
+    # each chain's step at time i / c, and the union of those times, descending
+    step_of = {c: {i / c: i for i in range(1, c + 1)} for c in dist}
+    times = sorted(set().union(*step_of.values()), reverse=True)
     draws = 1 if noise_draws is None else len(noise_draws)
-    # whole later steps per shared predict call: below 2, every step runs alone
-    steps_per_call = PREDICT_ROWS // (draws * len(plan.order))
+    # later times per shared predict call: with room for fewer than 2, each runs alone
+    per_call = max(1, PREDICT_ROWS // (draws * len(plan.order)))
+    calls = [times[:1]] + [times[a:a + per_call] for a in range(1, len(times), per_call)]
 
-    i = k
-    while i > 0:
-        n = 1 if i == k or steps_per_call < 2 else min(steps_per_call, i)
-        times = np.arange(i, i - n, -1) / k  # steps i, i - 1, ..., i - n + 1
-        tables, _ = posterior_table(process, np.arange(i - 1, i - n - 1, -1) / k, times)
-        live = np.flatnonzero(dist[plan.order] > 0) if n == 1 else np.arange(len(plan.order))
+    for call in calls:
+        n = len(call)
+        # per chain stepping in this call: its times' places in the call
+        stepping = {c: [j for j, t in enumerate(call) if t in steps]
+                    for c, steps in step_of.items() if not steps.keys().isdisjoint(call)}
+        # a time alone runs on the states that hold mass in a stepping chain;
+        # a chain's rows of states without its mass add nothing to it
+        live = (np.flatnonzero(functools.reduce(np.logical_or,
+                                                (dist[c][plan.order] > 0 for c in stepping)))
+                if n == 1 else np.arange(len(plan.order)))
         src = plan.order[live]
         z_src, groups = plan.states[src], _live_groups(plan, live)
-        new = dist * plan.kept
-        for xhat, share in _calls(predict, z_src, times, noise_draws, K):
-            chunks = _chunks(_per_pos(process, xhat, tables, z_src), groups)
-            if n > 1:  # every step reads every chunk
-                chunks = list(chunks)
-            for j in range(n):
-                if j:  # the call's next step: a call of several steps holds every draw
-                    dist, new = new, new * plan.kept
-                # the call's share of the average over draws; all of it spares a multiply
-                mass = dist[src] if share == 1 else dist[src] * share
-                for lo, hi, joints, succ in chunks:
-                    _scatter(new, mass[lo:hi], [part[j] for part in joints], succ)
-                    del joints  # a call of one step frees each chunk before the next
-        dist = new
-        i -= n
+        tables = {}
+        for c, at in stepping.items():
+            i = np.array([step_of[c][call[j]] for j in at])
+            tables[c], _ = posterior_table(process, (i - 1) / c, i / c)
+        new = {c: dist[c] * plan.kept for c in stepping}
+        for xhat, share in _calls(predict, z_src, np.array(call), noise_draws, K):
+            for c, at in stepping.items():
+                x = xhat if len(at) == n else xhat[at]
+                chunks = _chunks(_per_pos(process, x, tables[c], z_src), groups)
+                if len(at) > 1:  # every step reads every chunk
+                    chunks = list(chunks)
+                for j in range(len(at)):
+                    if j:  # the chain's next step: a call of several times holds every draw
+                        dist[c], new[c] = new[c], new[c] * plan.kept
+                    # the call's share of the average over draws; all of it spares a multiply
+                    mass = dist[c][src] if share == 1 else dist[c][src] * share
+                    for lo, hi, joints, succ in chunks:
+                        _scatter(new[c], mass[lo:hi], [part[j] for part in joints], succ)
+                        del joints  # a step alone frees each chunk before the next
+        dist.update(new)
 
-    if process.masked:
-        clean_probs = dist[plan.kept > 0]
-        if dist.sum() - clean_probs.sum() > 1e-9:
-            raise MetricError("chain left mass on MASK at s=0")
-        dist = clean_probs / clean_probs.sum()
-    return ExactDistribution(K, seq_len, dist)
+    for c, probs in dist.items():
+        if process.masked:
+            clean_probs = probs[plan.kept > 0]
+            if probs.sum() - clean_probs.sum() > 1e-9:
+                raise MetricError("chain left mass on MASK at s=0")
+            probs = clean_probs / clean_probs.sum()
+        dist[c] = ExactDistribution(K, seq_len, probs)
+    return [dist[c] for c in ks] if isinstance(k, tuple) else dist[k]
 
 
 def _mode_product(m: np.ndarray, lik_t: np.ndarray, axis: int) -> np.ndarray:

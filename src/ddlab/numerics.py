@@ -86,10 +86,29 @@ def _check_finite(x: np.ndarray, name: str) -> None:
         raise NumericsError(f"non-finite values in {name}")
 
 
+# widest last axis whose max `_max` takes one column at a time
+MAX_COLUMNS = 8
+
+
+def _max(x: np.ndarray, axis: int) -> np.ndarray:
+    """np.max(x, axis, keepdims=True). numpy's reduction over a short last
+    axis is slow, so a last axis of at most MAX_COLUMNS entries is taken
+    column by column into one buffer; max is exact, so the result is the
+    same. On a 2-core x86-64 host (numpy 2.4), (1024, 5, 4) took 390 us by
+    np.max and 24 us by columns, (64, 5, 8) 36 and 20 us; wider or other
+    axes keep np.max, which is faster there ((64, 5, 64): 46 us against 174)."""
+    if x.ndim == 0 or axis not in (-1, x.ndim - 1) or not 1 <= x.shape[-1] <= MAX_COLUMNS:
+        return np.max(x, axis=axis, keepdims=True)
+    out = x[..., :1].copy()
+    for c in range(1, x.shape[-1]):
+        np.maximum(out, x[..., c:c + 1], out=out)
+    return out
+
+
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     _check_finite(logits, "logits")
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    shifted = logits - _max(logits, axis)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
 
@@ -97,7 +116,7 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     _check_finite(logits, "logits")
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    shifted = logits - _max(logits, axis)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 

@@ -219,8 +219,9 @@ def test_cli_sweep_bad_axis(config_path, tmp_path):
 
 
 def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
-    # the k = [distill] k row of student_kl_vs_k.csv is the last probe's value
-    # when that probe saw the final generator, and is computed otherwise
+    # the last probe (step_index == [distill] steps) measures the final
+    # generator at every k of student_kl_vs_k.csv in one pass, and the table
+    # reads it; without such a probe in the process, the table makes that pass
     import ddlab.cli as cli
 
     out = str(tmp_path / "out")
@@ -236,8 +237,8 @@ def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
     teacher = os.path.join(out, "teacher.ckpt")
     assert main(["distill", "--config", config_path, "--teacher", teacher,
                  "--out", out, "--seed", "7"]) == 0
-    # probes at steps 0, 30, 59; then teacher k = 1, 2, 4 and student k = 2, 4
-    assert len(calls) == 3 + 3 + 2
+    # probes at steps 0 and 30, the last probe's pass at k = 1, 2, 4, the teacher's pass
+    assert calls == [1, 1, (1, 2, 4), (1, 2, 4)]
     table = open(os.path.join(out, "student_kl_vs_k.csv"), "rb").read()
 
     cfg = load_config(config_path)
@@ -245,8 +246,8 @@ def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
     fresh = cli._student_chain_kl(gen, cli.Context(cfg, 7, out, cfg.dataset(), cfg.process()), 1)
     assert table.decode().splitlines()[2].split(",")[1] == f"{fresh:.10g}"
 
-    # resumed at the last step: no probe runs, and the restored log's last
-    # probe saw the final generator
+    # resumed at the last step: no probe runs, so the table makes the
+    # student's pass and the teacher's
     def resume(state, name):
         calls.clear()
         resumed = str(tmp_path / name)
@@ -257,16 +258,16 @@ def test_cli_distill_reuses_final_probe(config_path, tmp_path, monkeypatch):
 
     state = os.path.join(out, "distill_state.npz")
     log = resume(state, "resumed")
-    assert len(calls) == 3 + 2
+    assert calls == [(1, 2, 4), (1, 2, 4)]
     assert log == open(os.path.join(out, "distill_log.csv"), "rb").read()
 
-    # a state file without the log arrays resumes with an empty log, so the
-    # table computes every row
+    # a state file without the log arrays resumes with an empty log; the
+    # table makes the same two passes
     with np.load(state) as z:
         old_state = {key: z[key] for key in z.files if not key.startswith("log_")}
     np.savez(tmp_path / "old_state.npz", **old_state)
     log = resume(str(tmp_path / "old_state.npz"), "resumed_old")
-    assert len(calls) == 3 + 3
+    assert calls == [(1, 2, 4), (1, 2, 4)]
     assert len(log.splitlines()) == 2  # the version line and the header
 
 

@@ -119,21 +119,52 @@ def random_predict(K, D, keff, n_noise, seed):
 @pytest.mark.parametrize("K", [2, 3, 4])
 @pytest.mark.parametrize("D", [1, 2, 3, 5])
 def test_sparse_chain_matches_dense_reference(kind, K, D, monkeypatch):
+    # k is one chain or a tuple of chains in one pass: each chain reads its
+    # own rows of the shared calls and keeps its own tables, chunks and scatter
     process = DiffusionProcess(kind, K)
     predict = random_predict(K, D, process.vocab_eff, 2, seed=K * 10 + D)
     draws = RngState(K + D).normal((3, 2))
-    cases = [(k, noise) for k in (1, 2, 4) for noise in (None, draws)]
-    expected = [dense_chain_distribution(predict, process, k, D, noise) for k, noise in cases]
+    cases = [(k, noise) for k in (1, 2, 4, (1, 2, 4, 8), (3, 4, 6), (4, 2, 4))
+             for noise in (None, draws)]
+    expected = {(k, noise is None): dense_chain_distribution(predict, process, k, D, noise)
+                for k in (1, 2, 3, 4, 6, 8) for noise in (None, draws)}
     # a one-byte budget puts every source row in a chunk of its own; one row
     # per call runs every step alone, on the states that hold mass
     for setting, value in (("CHUNK_BYTES", metrics.CHUNK_BYTES), ("CHUNK_BYTES", 1),
                            ("PREDICT_ROWS", 1)):
         monkeypatch.setattr(metrics, setting, value)
-        for (k, noise), want in zip(cases, expected):
-            got = exact_chain_distribution(predict, process, k, D, noise_draws=noise).probs
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
-                                       err_msg=f"k={k} draws={noise is not None} "
-                                               f"{setting}={value}")
+        for k, noise in cases:
+            got = exact_chain_distribution(predict, process, k, D, noise_draws=noise)
+            ks, got = (k, got) if isinstance(k, tuple) else ((k,), [got])
+            assert len(got) == len(ks)
+            for one, dist in zip(ks, got):
+                np.testing.assert_allclose(dist.probs, expected[one, noise is None],
+                                           rtol=0, atol=1e-12,
+                                           err_msg=f"k={k} chain {one} draws={noise is not None} "
+                                                   f"{setting}={value}")
+
+
+@pytest.mark.parametrize("kind, rows", [("uniform", [1024] * 16), ("masked", [1] + [2101] * 15)])
+def test_multi_k_pass_predicts_each_time_once(kind, rows):
+    # k = 1, 2, 4, 8, 16 step at 31 times, only 16 of them distinct (i / 16).
+    # On K=4 D=5 every later time runs alone on the same rows in every chain,
+    # so each chain equals its one-k pass bit for bit.
+    process = DiffusionProcess(kind, 4)
+    inner = random_predict(4, 5, process.vocab_eff, 0, seed=9)
+    calls = []
+
+    def predict(z, t):
+        calls.append((len(z), np.ndim(t), float(t)))
+        return inner(z, t)
+
+    ks = (1, 2, 4, 8, 16)
+    got = exact_chain_distribution(predict, process, ks, 5)
+    assert [n for n, _, _ in calls] == rows
+    assert all(ndim == 0 for _, ndim, _ in calls)
+    assert [t for _, _, t in calls] == [i / 16 for i in range(16, 0, -1)]
+    for k, dist in zip(ks, got):
+        alone = exact_chain_distribution(inner, process, k, 5)
+        assert dist.probs.tobytes() == alone.probs.tobytes()
 
 
 def test_noise_draws_share_one_predict_call_per_step():
@@ -221,7 +252,9 @@ def test_steps_that_run_alone_predict_the_states_with_mass():
 
 @pytest.mark.parametrize("kind", ["masked", "uniform"])
 @pytest.mark.parametrize("k, n_draws, message", [(0, None, "k must be"), (-3, None, "k must be"),
-                                                  (2, 0, "no draw")])
+                                                  (2, 0, "no draw"), ((), None, "no chain length"),
+                                                  ((2, 0), None, "k must be"),
+                                                  ((1, -1, 4), None, "k must be")])
 def test_chain_rejects_no_steps_or_no_draws(kind, k, n_draws, message):
     process = DiffusionProcess(kind, 2)
     predict = random_predict(2, 2, process.vocab_eff, 2, seed=1)
@@ -241,6 +274,34 @@ def test_zero_mass_rows_add_nothing():
             got = exact_chain_distribution(predict, process, k, 3).probs
             want = dense_chain_distribution(predict, process, k, 3)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{kind} k={k}")
+
+
+def test_chains_with_different_live_states_share_a_call(monkeypatch):
+    # masked K=2 D=3, k = (2, 4): at t = 1 the model never reveals token 1 at
+    # position 0, so at t = 0.5 only chain 4 (which stepped at 0.75) holds
+    # states with that token there. Each step runs alone (PREDICT_ROWS = 1):
+    # the call at 0.5 predicts the union of the two chains' states with mass,
+    # more rows than chain 2 alone, whose rows without its mass add nothing.
+    process = DiffusionProcess("masked", 2)
+    inner = random_predict(2, 3, 3, 0, seed=4)
+    calls = []
+
+    def predict(z, t):
+        p = inner(z, t)
+        if t == 1.0:
+            p[:, 0] = [1.0, 0.0]
+        calls.append((t, len(z)))
+        return p
+
+    monkeypatch.setattr(metrics, "PREDICT_ROWS", 1)
+    got = exact_chain_distribution(predict, process, (2, 4), 3)
+    rows = dict(calls)
+    for k, dist in zip((2, 4), got):
+        np.testing.assert_allclose(dist.probs, dense_chain_distribution(predict, process, k, 3),
+                                   rtol=0, atol=1e-12, err_msg=f"k={k}")
+    calls.clear()
+    exact_chain_distribution(predict, process, 2, 3)
+    assert dict(calls)[0.5] < rows[0.5]
 
 
 def _per_row_times_match_scalar(predict, z, *args):
@@ -297,6 +358,25 @@ def test_predict_calls_split_by_whole_draws_past_guard():
     assert calls == [19 * 1024, 5 * 1024] * 2 and max(calls) <= ENUM_GUARD
     want = dense_chain_distribution(inner, process, 2, 5, draws)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_multi_k_pass_imports_no_masked_arrays():
+    # np.union1d imports numpy.ma on first use, which raised every perfbench
+    # workload's peak RSS by 1.6-1.9 MB; the pass takes its union by logical_or
+    script = ("import sys\nimport numpy as np\n"
+              "from ddlab.metrics import exact_chain_distribution\n"
+              "from ddlab.process import DiffusionProcess\n"
+              "def predict(z, t):\n"
+              "    return np.full((len(z), 3, 2), 0.5)\n"
+              "exact_chain_distribution(predict, DiffusionProcess('masked', 2), (1, 2, 4), 3)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddlab.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
 
 
 def test_revealed_states_never_reach_predict():

@@ -34,6 +34,27 @@ def test_softmax_rejects_nan():
         softmax(np.array([0.0, np.nan]))
 
 
+@pytest.mark.parametrize("K", [*range(1, 10), 64])
+def test_softmax_equals_np_max_form_bit_for_bit(K):
+    # softmax and log_softmax take a short last axis's max a column at a
+    # time; max is exact, so every output equals the np.max form's bits.
+    # Halves of integers give ties (and no -0.0) up to magnitude 300.
+    gen = np.random.default_rng(K)
+    logits = gen.integers(-600, 601, size=(37, 3, K)) / 2.0
+    logits[::4, 1] = logits[::4, 1, :1]  # whole rows of one value
+    for x in (logits, logits[0, 0]):
+        shifted = x - np.max(x, axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want_p = e / np.sum(e, axis=-1, keepdims=True)
+        want_logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+        assert softmax(x).tobytes() == want_p.tobytes()
+        assert log_softmax(x).tobytes() == want_logp.tobytes()
+    # another axis keeps np.max
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    assert softmax(logits, axis=1).tobytes() == (e / np.sum(e, axis=1, keepdims=True)).tobytes()
+
+
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_softmax_rows_sum_to_one(logits):
