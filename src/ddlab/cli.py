@@ -10,16 +10,19 @@ import argparse
 import csv
 import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
 from typing import NamedTuple
 
+import numpy as np
+
 from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, load_config
 from .data import ENUM_GUARD, SyntheticDataset
 from .distill import DistillDivergence, Distiller, teacher_logits
-from .metrics import (ExactDistribution, MetricError, ReferenceModel, chain_enumerable,
-                      exact_chain_distribution, factorized_oracle_chain,
+from .metrics import (GM_ROWS_PER_CALL, ExactDistribution, MetricError, ReferenceModel,
+                      chain_enumerable, exact_chain_distribution, factorized_oracle_chain,
                       generative_perplexity, generator_output_entropy, gradient_moment, kl,
                       sample_entropy)
 from .nets import Denoiser, ModelError, model_from_checkpoint, save_checkpoint
@@ -174,6 +177,14 @@ def _load_compatible(path, cfg: ExperimentConfig,
     return model, role == "generator" or model.config.n_noise > 0
 
 
+def _resume_key(cfg: ExperimentConfig) -> str:
+    """The config hash of the sections `distill` reads, [distill] steps left
+    out: a `--resume` state must have been written under the same key."""
+    values = {s: dict(cfg.values[s]) for s in ("dataset", "process", "model", "distill")}
+    del values["distill"]["steps"]
+    return config_hash(ExperimentConfig(values))
+
+
 def cmd_distill(args) -> int:
     cfg, seed, out, dataset, process = ctx = _context(args)
     teacher, _ = _load_compatible(args.teacher, cfg, teacher=True)
@@ -182,7 +193,7 @@ def cmd_distill(args) -> int:
                           n_noise=cfg.get("model", "n_noise"))
     if args.resume:
         try:
-            distiller.load_state_file(args.resume)
+            distiller.load_state_file(args.resume, _resume_key(cfg))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ArtifactError(f"cannot resume from {args.resume}: {exc}")
 
@@ -205,7 +216,7 @@ def cmd_distill(args) -> int:
     save_checkpoint(os.path.join(out, "auxiliary.ckpt"), distiller.auxiliary.config,
                     distiller.auxiliary.store,
                     extra={"config_hash": config_hash(cfg), "seed": seed, "role": "auxiliary"})
-    distiller.save_state(os.path.join(out, "distill_state.npz"))
+    distiller.save_state(os.path.join(out, "distill_state.npz"), _resume_key(cfg))
     _write_csv(os.path.join(out, "distill_log.csv"),
                ["step", "phase", "loss", "gen_output_entropy", "eval_kl"],
                distiller.log_rows, cfg, seed)
@@ -244,13 +255,39 @@ def _model_sampler(model: Denoiser, generator: bool, ctx: Context, steps: int):
 
 def _evaluate(ctx: Context, model: Denoiser, generator: bool, names, steps: int) -> list[dict]:
     """The `eval` records of the model's `steps`-step chain, one per metric
-    name, under the context's config and seed: the sampled metrics draw from
-    children of RngState(seed).child(3)."""
+    name, under the context's config and seed. The sampled metrics read
+    prefixes of one pool, the stream of GM_ROWS_PER_CALL-row sampler calls on
+    RngState(seed).child(3).child(3) cut at the most rows a metric reads; a
+    call's first rows do not depend on how many it draws, so no metric's
+    value depends on which others are requested."""
     cfg, dataset, process = ctx.cfg, ctx.dataset, ctx.process
     ecfg = cfg.eval_config()
     sampler = _model_sampler(model, generator, ctx, steps)
     rng = RngState(ctx.seed).child(3)
     ref = ReferenceModel(_exact_q(dataset)) if dataset.enumerable else None
+
+    reads = {"sample_entropy": ecfg.n_samples, "generative_perplexity": ecfg.n_samples,
+             "gm": 2 * ecfg.gm_pairs * ecfg.gm_batch}
+    n_pool = max([reads[name] for name in names if name in reads], default=0)
+    pool_rng = rng.child(3)
+    calls = (sampler(min(GM_ROWS_PER_CALL, n_pool - lo), pool_rng)
+             for lo in range(0, n_pool, GM_ROWS_PER_CALL))
+    rest = None
+
+    @functools.cache
+    def head():
+        """The calls that hold the first n_samples rows, drawn at first use."""
+        return np.concatenate([next(calls) for _ in range(0, min(ecfg.n_samples, n_pool),
+                                                          GM_ROWS_PER_CALL)])
+
+    def pool_rows(n, _rng):
+        """gm's generator rows: the next n of the pool, from its start."""
+        nonlocal rest
+        rest = head() if rest is None else rest
+        while len(rest) < n:
+            rest = np.concatenate([rest, next(calls)])
+        rows, rest = rest[:n], rest[n:]
+        return rows
 
     records = []
     chash = config_hash(cfg)
@@ -261,16 +298,16 @@ def _evaluate(ctx: Context, model: Denoiser, generator: bool, names, steps: int)
             rec["value"] = (_student_chain_kl(model, ctx, steps) if generator else
                             _teacher_chain_kl(model, ctx, steps))
         elif name == "gm":
-            res = gradient_moment(ref, sampler, dataset.sample, ecfg.gm_batch, ecfg.gm_pairs,
+            res = gradient_moment(ref, pool_rows, dataset.sample, ecfg.gm_batch, ecfg.gm_pairs,
                                   rng.child(1))
             rec["value"] = res.estimate
             rec["stderr"] = res.stderr
             if res.warning:
                 rec["warning"] = res.warning
         elif name == "generative_perplexity":
-            rec["value"] = generative_perplexity(ref, sampler(ecfg.n_samples, rng.child(2)))
+            rec["value"] = generative_perplexity(ref, head()[:ecfg.n_samples])
         elif name == "sample_entropy":
-            rec["value"] = sample_entropy(sampler(ecfg.n_samples, rng.child(3)))
+            rec["value"] = sample_entropy(head()[:ecfg.n_samples])
         elif name == "gen_output_entropy":
             rec["value"] = generator_output_entropy(model, process, 256, rng.child(4))
         records.append(rec)

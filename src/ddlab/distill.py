@@ -303,24 +303,31 @@ class Distiller:
                 "gen_m": self.gen_opt.m, "gen_v": self.gen_opt.v,
                 "aux_m": self.aux_opt.m, "aux_v": self.aux_opt.v}
 
-    def save_state(self, path) -> None:
+    def save_state(self, path, config_key: str | None = None) -> None:
+        """Write the resumable state, recording `config_key` if given."""
         rng = self.rng.state()
         log = {key: np.array([row[field] for row in self.log_rows])
                for field, key in LOG_ARRAYS.items()}
+        key = {} if config_key is None else {"config_key": config_key}
         np.savez(path, step_index=self.step_index, **self._state_arrays(),
                  gen_step=self.gen_opt.step, aux_step=self.aux_opt.step,
                  rng_seed=rng["seed"], rng_path=np.asarray(rng["path"], dtype=np.int64),
-                 rng_counter=rng["counter"], **log)
+                 rng_counter=rng["counter"], **log, **key)
 
-    def load_state_file(self, path) -> None:
+    def load_state_file(self, path, config_key: str | None = None) -> None:
         """Restore a `save_state` file in place, the log included (a file
         written before the log was saved restores an empty one).
 
         Raises OSError, ValueError, KeyError or TypeError for a file that is
-        not a state of these models, before changing anything.
+        not a state of these models, or that records a config key other than
+        `config_key` (a file without one, or no `config_key`, skips that
+        check), before changing anything.
         """
         with np.load(path) as z:
             state = {k: z[k] for k in z.files}
+        if config_key is not None and str(state.get("config_key", config_key)) != config_key:
+            raise ValueError(f"the state was written under another config "
+                             f"(key {state['config_key']}, this config's {config_key})")
         targets = self._state_arrays()
         for key, dest in targets.items():
             if state[key].shape != dest.shape:

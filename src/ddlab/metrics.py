@@ -37,9 +37,12 @@ class EvalConfig:
     def __post_init__(self):
         if min(self.steps, self.n_samples, self.gm_pairs, self.gm_batch) < 1:
             raise MetricError("steps, n_samples, gm_pairs and gm_batch must be >= 1")
-        for name in self.names:
+        names = self.names
+        for i, name in enumerate(names):
             if name not in KNOWN_METRICS:
                 raise MetricError(f"unknown metric {name!r}; known: {', '.join(KNOWN_METRICS)}")
+            if name in names[:i]:
+                raise MetricError(f"metric {name!r} is listed twice")
         if "sample_entropy" in self.names and self.n_samples < SAMPLE_ENTROPY_MIN:
             raise MetricError(f"sample_entropy needs n_samples >= {SAMPLE_ENTROPY_MIN}, "
                               f"got {self.n_samples}")

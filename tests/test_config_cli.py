@@ -198,6 +198,15 @@ def test_cli_unknown_metric_is_config_error(config_path, tmp_path):
                  os.path.join(out, "teacher.ckpt"), "--out", out,
                  "--metrics", "sample_entropy"])
     assert code == 2
+    # a metric named twice, in --metrics or in [eval] metrics
+    for metrics in ("gm,gm", "exact_kl, sample_entropy,exact_kl"):
+        assert main(["eval", "--config", config_path, "--checkpoint",
+                     os.path.join(out, "teacher.ckpt"), "--out", out,
+                     "--metrics", metrics]) == 2, metrics
+    twice = tmp_path / "twice.ini"
+    twice.write_text(BASE_CONFIG.replace("n_samples = 2000", "n_samples = 2000\nmetrics = gm,gm"))
+    assert main(["eval", "--config", str(twice), "--checkpoint",
+                 os.path.join(out, "teacher.ckpt"), "--out", out]) == 2
 
 
 def test_cli_sweep_without_checkpoint(config_path, tmp_path):
@@ -428,6 +437,14 @@ def test_cli_pins_malloc_thresholds():
     del block
 
 
+def _random_model(cfg, n_noise, seed):
+    # an untrained model with a random head, so its samples are not all alike
+    model = Denoiser(cfg.model_config(n_noise=n_noise), RngState(seed))
+    head = model.store.arrays()["head_w"]
+    head[:] = RngState(seed).child(1).normal(head.shape)
+    return model
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("dataset, kind, n", [
     ("correlated_bits\nseq_len = 2\nvocab = 2", "masked", 10_000),
@@ -436,9 +453,7 @@ def test_cli_pins_malloc_thresholds():
 def test_teacher_sampler_forwards_each_distinct_row_once(monkeypatch, dataset, kind, n, seed):
     cfg = parse_config(f"[dataset]\nkind = {dataset}\n[process]\nkind = {kind}\n"
                        "[distill]\ntau = 0.8\ntop_p = 0.9\n")
-    teacher = Denoiser(cfg.model_config(n_noise=0), RngState(seed))
-    head = teacher.store.arrays()["head_w"]
-    head[:] = RngState(seed).child(1).normal(head.shape)
+    teacher = _random_model(cfg, 0, seed)
     process, dcfg, D = cfg.process(), cfg.distill_config(), cfg.get("dataset", "seq_len")
 
     def plain(z, t):
@@ -458,6 +473,91 @@ def test_teacher_sampler_forwards_each_distinct_row_once(monkeypatch, dataset, k
     np.testing.assert_array_equal(got, want)
     assert len(rows) == 16
     assert max(rows) <= min(n, process.vocab_eff ** D), rows
+
+
+@pytest.mark.parametrize("n, big", [(13, 515), (999, 1003)])
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+@pytest.mark.parametrize("n_noise, generator", [(4, True), (0, True), (0, False)],
+                         ids=["generator", "noise_free_generator", "teacher"])
+def test_model_sampler_rows_are_a_prefix(kind, n_noise, generator, n, big):
+    # a sampler's first n rows do not depend on how many rows it draws: eval's
+    # sampled metrics read prefixes of one pool on this property
+    cfg = parse_config(f"[dataset]\nkind = markov_chain\nseq_len = 3\nvocab = 3\n"
+                       f"[process]\nkind = {kind}\n[distill]\ntau = 0.8\ntop_p = 0.9\n")
+    model = _random_model(cfg, n_noise, 5)
+    ctx = Context(cfg, 0, "unused", cfg.dataset(), cfg.process())
+    sampler = _model_sampler(model, generator, ctx, 3)
+    few, many = sampler(n, RngState(5).child(3)), sampler(big, RngState(5).child(3))
+    assert len(np.unique(many, axis=0)) > 1
+    np.testing.assert_array_equal(few, many[:n])
+
+
+@pytest.fixture
+def generator_path(config_path, tmp_path):
+    path = str(tmp_path / "generator.ckpt")
+    gen = _random_model(load_config(config_path), 4, 9)
+    save_checkpoint(path, gen.config, gen.store, extra={"role": "generator"})
+    return path
+
+
+SAMPLED = ("sample_entropy", "gm", "generative_perplexity")
+
+
+@pytest.mark.parametrize("n_samples, rows_per_call, gm_rows_per_call", [
+    (2000, 2 ** 15, 2 ** 15), (2000, 1000, 700), (3000, 1000, 2 ** 15)])
+def test_cli_eval_sampled_metrics_read_one_pool(config_path, generator_path, tmp_path,
+                                                monkeypatch, n_samples, rows_per_call,
+                                                gm_rows_per_call):
+    # one eval draws the pool in calls of at most rows_per_call rows, once; gm's
+    # generator side reads the pool's first rows, in whatever reads gm makes
+    # (gm_rows_per_call sets those); each sampled metric's record is the one it
+    # gets alone; and with one call, sample_entropy is that of one sampler call
+    import ddlab.cli as cli
+    import ddlab.metrics as metrics
+
+    path = tmp_path / "pool.ini"
+    path.write_text(BASE_CONFIG.replace("n_samples = 2000", f"n_samples = {n_samples}"))
+    monkeypatch.setattr(cli, "GM_ROWS_PER_CALL", rows_per_call)
+    monkeypatch.setattr(metrics, "GM_ROWS_PER_CALL", gm_rows_per_call)
+    calls, gm_rows = [], []
+
+    def counted(predict, process, steps, rng, batch, seq_len):
+        calls.append(batch)
+        return ancestral_sample(predict, process, steps, rng, batch, seq_len)
+
+    def recorded(ref, gen_sampler, *args):
+        def read(n, rng):
+            gm_rows.append(gen_sampler(n, rng))
+            return gm_rows[-1]
+        return metrics.gradient_moment(ref, read, *args)
+
+    monkeypatch.setattr(cli, "ancestral_sample", counted)
+    monkeypatch.setattr(cli, "gradient_moment", recorded)
+
+    def records(names):
+        out = tmp_path / names.replace(",", "_")
+        assert main(["eval", "--config", str(path), "--checkpoint", generator_path,
+                     "--out", str(out), "--seed", "2", "--metrics", names]) == 0
+        with open(out / "eval_report.json") as fh:
+            return {rec["metric"]: rec for rec in map(json.loads, fh)}
+
+    every = records("exact_kl," + ",".join(SAMPLED))
+    n_gm, n_pool = 2 * 20 * 64, max(n_samples, 2 * 20 * 64)
+    assert calls == [min(rows_per_call, n_pool - lo) for lo in range(0, n_pool, rows_per_call)]
+    cfg = load_config(str(path))
+    model, generator = cli._load_compatible(generator_path, cfg)
+    sampler = _model_sampler(model, generator,
+                             Context(cfg, 2, "unused", cfg.dataset(), cfg.process()), 1)
+    rng = RngState(2).child(3).child(3)
+    pool = np.concatenate([sampler(min(rows_per_call, n_pool - lo), rng)
+                           for lo in range(0, n_pool, rows_per_call)])
+    assert len(gm_rows) == -(-20 // (gm_rows_per_call // (2 * 64)))  # pairs per read
+    np.testing.assert_array_equal(np.concatenate(gm_rows), pool[:n_gm])
+    for name in SAMPLED:
+        assert records(name) == {name: every[name]}
+    if rows_per_call >= n_pool:
+        want = metrics.sample_entropy(sampler(n_samples, RngState(2).child(3).child(3)))
+        assert every["sample_entropy"]["value"] == want
 
 
 def test_cli_samples_csv_golden_bytes(config_path, tmp_path, monkeypatch):
@@ -591,6 +691,32 @@ def test_cli_resumed_run_logs_final_row(tmp_path):
     full_log = open(os.path.join(full, "distill_log.csv"), "rb").read()
     assert full_log.splitlines()[-1].startswith(b"5,")
     assert open(os.path.join(resumed, "distill_log.csv"), "rb").read() == full_log
+
+
+def test_cli_resume_under_another_config_is_artifact_error(tmp_path):
+    # the state records the sections distill reads, [distill] steps aside: a
+    # changed gen_lr exits 3, and a state written without that record resumes
+    path = tmp_path / "exp.ini"
+    path.write_text(BASE_CONFIG.replace("steps = 60", "steps = 4"))
+    other = tmp_path / "other.ini"
+    other.write_text(BASE_CONFIG.replace("steps = 60", "steps = 8\ngen_lr = 2e-3"))
+    out = str(tmp_path / "out")
+    _train_and_distill(str(path), out, 3)
+    state = os.path.join(out, "distill_state.npz")
+    with np.load(state) as z:
+        fields = {k: z[k] for k in z.files}
+    assert "config_key" in fields
+    teacher = os.path.join(out, "teacher.ckpt")
+
+    def resume(config, state_path):
+        return main(["distill", "--config", config, "--teacher", teacher, "--seed", "3",
+                     "--out", str(tmp_path / "resumed"), "--resume", str(state_path)])
+
+    assert resume(str(other), state) == 3
+    del fields["config_key"]
+    unkeyed = tmp_path / "unkeyed.npz"
+    np.savez(unkeyed, **fields)
+    assert resume(str(other), unkeyed) == 0
 
 
 FIELDS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
