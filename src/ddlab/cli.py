@@ -84,27 +84,19 @@ def _exact_q(dataset) -> ExactDistribution:
     return ExactDistribution(dataset.vocab, dataset.seq_len, dataset.exact_q())
 
 
-def _teacher_predict(model: Denoiser, dcfg):
-    """predict(z, t): the teacher's probabilities after [distill] logit surgery,
-    for a scalar t or one time per row."""
-    def predict(z, t):
-        return softmax(teacher_logits(model, z, t, dcfg.tau, dcfg.top_p, dcfg.delta))
-    return predict
-
-
 def _chain_kls(ctx: Context, p):
     """KL(q || p) for one chain distribution, or a list for several."""
     q = _exact_q(ctx.dataset)
     return kl(q, p) if isinstance(p, ExactDistribution) else [kl(q, d) for d in p]
 
 
-def _teacher_chain_kl(model: Denoiser, ctx: Context, k: int | tuple[int, ...]):
-    """The teacher's exact KL after logit surgery at k steps, or a list at
-    each k of a tuple, from one pass."""
+def _teacher_chain_kl(teacher, ctx: Context, k: int | tuple[int, ...]):
+    """The exact KL at k steps of the teacher whose logits are `teacher(z, t)`
+    (`teacher_logits`), or a list at each k of a tuple, from one pass."""
     # no distinct_rows grouping: the DP's rows are already distinct, and on small
     # spaces it hands the teacher several steps per call with per-row times
     return _chain_kls(ctx, exact_chain_distribution(
-        _teacher_predict(model, ctx.cfg.distill_config()), ctx.process, k, ctx.dataset.seq_len))
+        lambda z, t: softmax(teacher(z, t)), ctx.process, k, ctx.dataset.seq_len))
 
 
 def _student_chain_kl(gen: Denoiser, ctx: Context, k: int | tuple[int, ...]):
@@ -150,7 +142,8 @@ def cmd_train_teacher(args) -> int:
                ["step", "loss", "eval_kl", "wallclock_ms"], rows, cfg, seed)
     if chain_enumerable(process, dataset.seq_len):
         steps = (1, 2, 4, 8, 16)
-        table = [{"steps": n, "kl": v} for n, v in zip(steps, _teacher_chain_kl(model, ctx, steps))]
+        kls = _teacher_chain_kl(teacher_logits(model, cfg.distill_config()), ctx, steps)
+        table = [{"steps": n, "kl": v} for n, v in zip(steps, kls)]
         _write_csv(os.path.join(out, "teacher_kl_vs_steps.csv"), ["steps", "kl"], table,
                    cfg, seed)
     print(f"teacher checkpoint and logs written to {out}")
@@ -187,15 +180,19 @@ def _resume_key(cfg: ExperimentConfig) -> str:
 
 def cmd_distill(args) -> int:
     cfg, seed, out, dataset, process = ctx = _context(args)
-    teacher, _ = _load_compatible(args.teacher, cfg, teacher=True)
+    model, _ = _load_compatible(args.teacher, cfg, teacher=True)
     dcfg = cfg.distill_config()
-    distiller = Distiller(teacher, dataset, process, dcfg, RngState(seed).child(2),
+    teacher = teacher_logits(model, dcfg)
+    distiller = Distiller(model, teacher, dataset, process, dcfg, RngState(seed).child(2),
                           n_noise=cfg.get("model", "n_noise"))
     if args.resume:
         try:
             distiller.load_state_file(args.resume, _resume_key(cfg))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ArtifactError(f"cannot resume from {args.resume}: {exc}")
+        if distiller.rng.seed != seed:
+            raise ArtifactError(f"{args.resume} was written under --seed "
+                                f"{distiller.rng.seed}, not {seed}")
 
     # the table's k; the last probe measures the final generator at all of them
     ks = tuple(sorted({1, 2, 4, dcfg.k}))
@@ -240,14 +237,15 @@ def _model_sampler(model: Denoiser, generator: bool, ctx: Context, steps: int):
     once per distinct row of z: at most vocab_eff^D rows per step, whatever n is.
     """
     n_noise = model.config.n_noise
-    rows_predict = model.probs if generator else _teacher_predict(model, ctx.cfg.distill_config())
+    teacher = None if generator else teacher_logits(model, ctx.cfg.distill_config())
 
     def sampler(n, rng):
         def predict(z, t):
             if n_noise > 0:
                 return model.probs(z, t, noise=rng.normal((len(z), n_noise)))
             rows, inverse = distinct_rows(z)
-            return rows_predict(rows, t)[inverse]
+            probs = model.probs(rows, t) if teacher is None else softmax(teacher(rows, t))
+            return probs[inverse]
 
         return ancestral_sample(predict, ctx.process, steps, rng, n, model.config.seq_len)
     return sampler
@@ -296,7 +294,8 @@ def _evaluate(ctx: Context, model: Denoiser, generator: bool, names, steps: int)
         if name == "exact_kl":
             # a generator's chain marginalized over its input noise, a teacher's after surgery
             rec["value"] = (_student_chain_kl(model, ctx, steps) if generator else
-                            _teacher_chain_kl(model, ctx, steps))
+                            _teacher_chain_kl(teacher_logits(model, cfg.distill_config()), ctx,
+                                              steps))
         elif name == "gm":
             res = gradient_moment(ref, pool_rows, dataset.sample, ecfg.gm_batch, ecfg.gm_pairs,
                                   rng.child(1))

@@ -27,11 +27,13 @@ class DistillError(ValueError):
 
 
 class DistillDivergence(RuntimeError):
+    """`max_logit` is the largest |teacher log-probability| of the diverging step's batch."""
+
     def __init__(self, step: int, tau: float, top_p: float, max_logit: float, loss: float):
         self.step, self.tau, self.top_p, self.max_logit, self.loss = step, tau, top_p, max_logit, loss
         super().__init__(
             f"distillation diverged at step {step}: loss={loss:.6g}, "
-            f"tau={tau}, top_p={top_p}, max|logit|={max_logit:.6g}")
+            f"tau={tau}, top_p={top_p}, max|teacher logp|={max_logit:.6g}")
 
 
 @dataclass
@@ -88,9 +90,9 @@ def sample_times(rng: RngState, k: int, size=None):
     return s, t
 
 
-def teacher_logits(teacher: Denoiser, z_s: np.ndarray, s: float, tau: float = 1.0,
-                   top_p: float = 1.0, delta: float = 2.0) -> np.ndarray:
-    """Teacher log-probabilities after temperature scaling and nucleus shift.
+def teacher_logits(model, cfg: DistillConfig):
+    """logits(z_s, s): `model`'s logits after `cfg`'s temperature scaling and
+    nucleus shift, unnormalized, for a scalar s or one time per row.
 
     Temperature first: logits = log-probs / tau. The nucleus is the minimal
     prefix of the tau-scaled distribution (probability descending, index
@@ -98,20 +100,23 @@ def teacher_logits(teacher: Denoiser, z_s: np.ndarray, s: float, tau: float = 1.
     are lowered by the constant delta. A finite shift keeps training stable;
     delta = 1e20 is naive -1e20 masking, the negative control that diverges.
     """
-    logp = log_softmax(teacher.forward(z_s, s))
-    scaled = logp / tau
-    if top_p >= 1.0:
-        return scaled
-    probs = softmax(scaled)
-    order = np.argsort(-probs, axis=-1, kind="stable")
-    sorted_p = np.take_along_axis(probs, order, axis=-1)
-    cum = np.cumsum(sorted_p, axis=-1)
-    keep_sorted = np.zeros_like(probs, dtype=bool)
-    keep_sorted[..., 0] = True
-    keep_sorted[..., 1:] = cum[..., :-1] < top_p
-    keep = np.zeros_like(keep_sorted)
-    np.put_along_axis(keep, order, keep_sorted, axis=-1)
-    return np.where(keep, scaled, scaled - delta)
+    tau, top_p, delta = cfg.tau, cfg.top_p, cfg.delta
+
+    def logits(z_s: np.ndarray, s) -> np.ndarray:
+        scaled = log_softmax(model.forward(z_s, s)) / tau
+        if top_p >= 1.0:
+            return scaled
+        probs = softmax(scaled)
+        order = np.argsort(-probs, axis=-1, kind="stable")
+        sorted_p = np.take_along_axis(probs, order, axis=-1)
+        cum = np.cumsum(sorted_p, axis=-1)
+        keep_sorted = np.zeros_like(probs, dtype=bool)
+        keep_sorted[..., 0] = True
+        keep_sorted[..., 1:] = cum[..., :-1] < top_p
+        keep = np.zeros_like(keep_sorted)
+        np.put_along_axis(keep, order, keep_sorted, axis=-1)
+        return np.where(keep, scaled, scaled - delta)
+    return logits
 
 
 def _head_weights(weight, pos_mask: np.ndarray) -> np.ndarray:
@@ -194,9 +199,12 @@ LOG_ARRAYS = {"step": "log_step", "phase": "log_phase", "loss": "log_loss",
 
 
 class Distiller:
-    """Owns the three models and the alternating optimization state."""
+    """Owns the generator, the auxiliary model and the alternating optimization
+    state. `teacher(z_s, s)` returns the teacher's logits (`teacher_logits`
+    builds them for a network); `model`'s weights initialise the generator
+    and the auxiliary model."""
 
-    def __init__(self, teacher: Denoiser, dataset: SyntheticDataset,
+    def __init__(self, model: Denoiser, teacher, dataset: SyntheticDataset,
                  process: DiffusionProcess, config: DistillConfig,
                  rng: RngState, n_noise: int = 0):
         if config.soft_targets and not process.masked:
@@ -206,7 +214,7 @@ class Distiller:
         self.process = process
         self.config = config
         self.rng = rng
-        self.generator, self.auxiliary = init_from_teacher(teacher, n_noise)
+        self.generator, self.auxiliary = init_from_teacher(model, n_noise)
         self.gen_opt = AdamState.for_store(self.generator.store)
         self.aux_opt = AdamState.for_store(self.auxiliary.store)
         self.step_index = 0
@@ -245,8 +253,7 @@ class Distiller:
         x = categorical_sample(xhat, self.rng)
         z_s = posterior_sample(x, z_t, s, t, self.process, self.rng)
         pos_mask = position_mask(z_s, self.process)
-        teacher_logp = log_softmax(teacher_logits(self.teacher, z_s, s, cfg.tau, cfg.top_p,
-                                                  cfg.delta))
+        teacher_logp = log_softmax(self.teacher(z_s, s))
         aux_logits = forward(self.auxiliary, z_s, s)
 
         weight = _head_weights(w, pos_mask)
@@ -260,17 +267,17 @@ class Distiller:
             target = xhat if cfg.soft_targets else x
             loss, dlogits = auxiliary_loss_head(target, np.exp(teacher_logp), aux_logits,
                                                 self.process, weight)
-        self._check_loss(loss, i)
+        self._check_loss(loss, i, teacher_logp)
         model.backward(cache, dlogits)
         adam_step(model.store, opt, lr=lr)
         self.step_index += 1
         return ("gen" if gen_phase else "aux"), loss
 
-    def _check_loss(self, val: float, i: int) -> None:
+    def _check_loss(self, val: float, i: int, teacher_logp: np.ndarray) -> None:
         if not np.isfinite(val) or abs(val) > 1e15:
             cfg = self.config
-            max_logit = _max_abs_teacher_logit(self)
-            raise DistillDivergence(i, cfg.tau, cfg.top_p, max_logit, val)
+            raise DistillDivergence(i, cfg.tau, cfg.top_p, float(np.max(np.abs(teacher_logp))),
+                                    val)
 
     def run(self, steps: int, eval_fn=None) -> list[dict]:
         """Run `steps` alternating updates, recording a CSV-ready log.
@@ -347,13 +354,3 @@ class Distiller:
         self.aux_opt.step = int(state["aux_step"])
         self.rng = rng
         self.log_rows = log_rows
-
-
-def _max_abs_teacher_logit(distiller: Distiller) -> float:
-    cfg = distiller.config
-    D = distiller.teacher.config.seq_len
-    probe = (np.full((1, D), distiller.process.mask_id, dtype=np.int64)
-             if distiller.process.masked else np.zeros((1, D), dtype=np.int64))
-    logits = teacher_logits(distiller.teacher, probe, 0.5, cfg.tau, cfg.top_p, cfg.delta)
-    return float(np.max(np.abs(logits)))
-

@@ -369,6 +369,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, np.ndarray, dict]:
             raw[key[len("config."):]] = val
         elif key.startswith("extra."):
             extra[key[len("extra."):]] = val
+    if missing := [f.name for f in fields(ModelConfig) if f.name not in raw]:
+        raise ModelError(f"checkpoint header lacks {', '.join('config.' + m for m in missing)}")
     # every field is an int but `masked`
     cfg = ModelConfig(**{f.name: raw[f.name] == "True" if f.name == "masked" else int(raw[f.name])
                          for f in fields(ModelConfig)})

@@ -73,7 +73,8 @@ def _teacher_kl(model, process, dataset, k, exact_q):
 def _distill_best_kl(teacher, dataset, process, exact_q, cfg, seed, n_noise,
                      max_steps, eval_every=1000):
     """Run distillation up to max_steps, returning the best generator found."""
-    dist = Distiller(teacher, dataset, process, cfg, RngState(seed), n_noise=n_noise)
+    dist = Distiller(teacher, teacher_logits(teacher, cfg), dataset, process, cfg,
+                     RngState(seed), n_noise=n_noise)
     best, best_vals = np.inf, dist.generator.store.values.copy()
     steps = 0
     while steps < max_steps:
@@ -304,7 +305,8 @@ def test_accept_7_fixed_point():
     """generator = auxiliary = teacher: 100 steps leave outputs in place."""
     teacher, _ = _cb_teacher()
     cfg = DistillConfig(k=1, soft_targets=True, gen_lr=1e-5, aux_lr=1e-5, steps=100)
-    dist = Distiller(teacher, CB, MASKED, cfg, RngState(23), n_noise=0)
+    dist = Distiller(teacher, teacher_logits(teacher, cfg), CB, MASKED, cfg, RngState(23),
+                     n_noise=0)
     probes = np.array([[2, 2], [0, 2], [2, 1], [1, 1]])
     before = teacher.probs(probes, 0.5)
     for _ in range(100):
@@ -350,20 +352,21 @@ def test_accept_9_top_p_surgery():
             return np.broadcast_to(np.log([0.5, 0.3, 0.2]),
                                    z_s.shape + (3,)).copy()
 
-    out = teacher_logits(Fixed(), np.zeros((1, 1), dtype=np.int64), 0.5,
-                         tau=1.0, top_p=0.7, delta=2.0)
+    out = teacher_logits(Fixed(), DistillConfig(tau=1.0, top_p=0.7, delta=2.0))(
+        np.zeros((1, 1), dtype=np.int64), 0.5)
     np.testing.assert_allclose(out[0, 0, :2], np.log([0.5, 0.3]), atol=1e-12)
     np.testing.assert_allclose(out[0, 0, 2], np.log(0.2) - 2.0, atol=1e-12)
     # boundedness: nothing exceeds |log-prob|/tau + Delta
     for tau in (1.0, 0.5):
-        mod = teacher_logits(Fixed(), np.zeros((2, 3), dtype=np.int64), 0.5,
-                             tau=tau, top_p=0.6, delta=2.0)
+        mod = teacher_logits(Fixed(), DistillConfig(tau=tau, top_p=0.6, delta=2.0))(
+            np.zeros((2, 3), dtype=np.int64), 0.5)
         assert np.max(np.abs(mod)) <= abs(np.log(0.2)) / tau + 2.0 + 1e-9
 
     teacher, _ = _cb_teacher()
     cfg = DistillConfig(k=1, steps=4000, gen_lr=1e-3, aux_lr=3e-3,
                         aux_per_gen=2, soft_targets=True, top_p=0.85, delta=2.0)
-    dist = Distiller(teacher, CB, MASKED, cfg, RngState(11), n_noise=8)
+    dist = Distiller(teacher, teacher_logits(teacher, cfg), CB, MASKED, cfg, RngState(11),
+                     n_noise=8)
     for _ in range(4000):
         phase, loss = dist.step()
         assert np.isfinite(loss)
@@ -371,7 +374,8 @@ def test_accept_9_top_p_surgery():
     naive_cfg = DistillConfig(k=1, steps=4000, gen_lr=1e-3, aux_lr=3e-3,
                               aux_per_gen=2, soft_targets=True, top_p=0.85,
                               delta=1e20)
-    naive = Distiller(teacher, CB, MASKED, naive_cfg, RngState(11), n_noise=8)
+    naive = Distiller(teacher, teacher_logits(teacher, naive_cfg), CB, MASKED, naive_cfg,
+                      RngState(11), n_noise=8)
     with pytest.raises(DistillDivergence):
         for _ in range(4000):
             naive.step()

@@ -14,7 +14,7 @@ from ddlab.config import (SCHEMA, ConfigError, config_hash, load_config, parse_c
                           to_text)
 from ddlab.distill import DistillDivergence, Distiller, teacher_logits
 from ddlab.metrics import KNOWN_METRICS
-from ddlab.nets import Denoiser, save_checkpoint
+from ddlab.nets import Denoiser, ModelError, load_checkpoint, save_checkpoint
 from ddlab.numerics import NumericsError, RngState, softmax
 from ddlab.process import ProcessError, ancestral_sample
 from ddlab.teacher import teacher_step
@@ -454,10 +454,11 @@ def test_teacher_sampler_forwards_each_distinct_row_once(monkeypatch, dataset, k
     cfg = parse_config(f"[dataset]\nkind = {dataset}\n[process]\nkind = {kind}\n"
                        "[distill]\ntau = 0.8\ntop_p = 0.9\n")
     teacher = _random_model(cfg, 0, seed)
-    process, dcfg, D = cfg.process(), cfg.distill_config(), cfg.get("dataset", "seq_len")
+    process, D = cfg.process(), cfg.get("dataset", "seq_len")
+    logits = teacher_logits(teacher, cfg.distill_config())
 
     def plain(z, t):
-        return softmax(teacher_logits(teacher, z, t, dcfg.tau, dcfg.top_p, dcfg.delta))
+        return softmax(logits(z, t))
 
     want = ancestral_sample(plain, process, 16, RngState(seed).child(4), n, D)
     rows = []
@@ -719,6 +720,57 @@ def test_cli_resume_under_another_config_is_artifact_error(tmp_path):
     assert resume(str(other), unkeyed) == 0
 
 
+def test_cli_resume_under_another_seed_is_artifact_error(tmp_path):
+    # the state's RNG seed is the run's --seed: a resume under another exits 3,
+    # one under the same seed still runs
+    path = tmp_path / "exp.ini"
+    path.write_text(BASE_CONFIG.replace("steps = 60", "steps = 3"))
+    longer = tmp_path / "longer.ini"
+    longer.write_text(BASE_CONFIG.replace("steps = 60", "steps = 6"))
+    out = str(tmp_path / "out")
+    _train_and_distill(str(path), out, 4)
+
+    def resume(seed):
+        return main(["distill", "--config", str(longer), "--teacher",
+                     os.path.join(out, "teacher.ckpt"), "--seed", str(seed),
+                     "--out", str(tmp_path / f"resumed{seed}"),
+                     "--resume", os.path.join(out, "distill_state.npz")])
+
+    assert resume(5) == 3
+    assert not os.path.exists(tmp_path / "resumed5" / "generator.ckpt")
+    assert resume(4) == 0
+
+
+def test_cli_checkpoint_header_without_config_field_is_artifact_error(config_path, tmp_path):
+    cfg = load_config(config_path)
+    teacher = Denoiser(cfg.model_config(n_noise=0), RngState(0))
+    ckpt = tmp_path / "teacher.ckpt"
+    save_checkpoint(str(ckpt), teacher.config, teacher.store, extra={"role": "teacher"})
+    ckpt.write_bytes(b"".join(line for line in ckpt.read_bytes().splitlines(keepends=True)
+                              if not line.startswith(b"config.emb = ")))
+    with pytest.raises(ModelError, match="config.emb"):
+        load_checkpoint(str(ckpt))
+    assert main(["sample", "--config", config_path, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path), "--n", "5"]) == 3
+
+
+def test_cli_teacher_kl_is_one_chain_across_commands(tmp_path):
+    # distill's teacher column reads the same surgery as train-teacher's table
+    path = tmp_path / "exp.ini"
+    path.write_text(BASE_CONFIG.replace("steps = 60", "steps = 2\ntau = 0.7\ntop_p = 0.8"))
+    out = str(tmp_path / "out")
+    _train_and_distill(str(path), out, 1)
+
+    def table(name, key, value):
+        with open(os.path.join(out, name)) as fh:
+            return {row[key]: row[value] for row in csv.DictReader(fh.readlines()[1:])}
+
+    steps = table("teacher_kl_vs_steps.csv", "steps", "kl")
+    column = table("student_kl_vs_k.csv", "k", "teacher_kl")
+    assert sorted(column) == ["1", "2", "4"]
+    assert column == {k: steps[k] for k in column}
+
+
 FIELDS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
 JUNK_VALUE = st.one_of(
     st.integers(-2, 64).map(str),
@@ -766,8 +818,8 @@ def _first_steps(cfg) -> None:
     try:
         teacher_step(teacher, dataset.sample(tcfg.batch, rng), process, rng, tcfg.weighting)
         adam_step(teacher.store, AdamState.for_store(teacher.store), lr=tcfg.lr)
-        dist = Distiller(teacher, dataset, process, dcfg, RngState(2),
-                         n_noise=cfg.get("model", "n_noise"))
+        dist = Distiller(teacher, teacher_logits(teacher, dcfg), dataset, process, dcfg,
+                         RngState(2), n_noise=cfg.get("model", "n_noise"))
         assert [dist.step()[0] for _ in range(2)] == ["gen", "aux"]
     except (DistillDivergence, NumericsError, ProcessError):
         pass  # a numerical divergence, which the CLI maps to exit 4

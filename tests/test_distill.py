@@ -9,6 +9,7 @@ from ddlab.autodiff import ParamStore
 from ddlab.data import make_dataset
 from ddlab.distill import (DistillConfig, DistillError, Distiller, posterior_kl_head,
                            sample_times, teacher_logits)
+from ddlab.metrics import ExactDistribution, oracle_denoiser
 from ddlab.nets import (Denoiser, ModelConfig, init_from_teacher, model_from_checkpoint,
                         save_checkpoint)
 from ddlab.numerics import RngState, log_softmax, softmax
@@ -74,16 +75,16 @@ def test_teacher_logits_hand_example():
     # probs [0.5, 0.3, 0.2], p = 0.7: cumulative 0.5, 0.8: categories {0, 1}
     # kept ("just over p"), category 2 lowered by exactly delta = 2
     teacher = _toy_teacher(np.log([0.5, 0.3, 0.2]))
-    out = teacher_logits(teacher, np.zeros((1, 1), dtype=np.int64), 0.5,
-                         tau=1.0, top_p=0.7, delta=2.0)
+    out = teacher_logits(teacher, DistillConfig(tau=1.0, top_p=0.7, delta=2.0))(
+        np.zeros((1, 1), dtype=np.int64), 0.5)
     np.testing.assert_allclose(out[0, 0, :2], np.log([0.5, 0.3]), atol=1e-12)
     np.testing.assert_allclose(out[0, 0, 2], np.log(0.2) - 2.0, atol=1e-12)
 
 
 def test_teacher_logits_temperature_first():
     teacher = _toy_teacher(np.log([0.5, 0.3, 0.2]))
-    out = teacher_logits(teacher, np.zeros((1, 1), dtype=np.int64), 0.5,
-                         tau=0.5, top_p=1.0)
+    out = teacher_logits(teacher, DistillConfig(tau=0.5, top_p=1.0))(
+        np.zeros((1, 1), dtype=np.int64), 0.5)
     np.testing.assert_allclose(out[0, 0], np.log([0.5, 0.3, 0.2]) / 0.5, atol=1e-12)
 
 
@@ -94,15 +95,15 @@ def test_teacher_logits_bounded_by_delta():
     z = np.zeros((2, 3), dtype=np.int64)
     for tau in (1.0, 0.5):
         for p in (0.6, 0.9):
-            out = teacher_logits(teacher, z, 0.5, tau=tau, top_p=p, delta=2.0)
+            out = teacher_logits(teacher, DistillConfig(tau=tau, top_p=p, delta=2.0))(z, 0.5)
             bound = np.max(np.abs(log_softmax(teacher.forward(z, 0.5)))) / tau + 2.0
             assert np.max(np.abs(out)) <= bound + 1e-9
 
 
 def test_teacher_logits_naive_sentinel():
     teacher = _toy_teacher(np.log([0.5, 0.3, 0.2]))
-    out = teacher_logits(teacher, np.zeros((1, 1), dtype=np.int64), 0.5,
-                         top_p=0.7, delta=1e20)
+    out = teacher_logits(teacher, DistillConfig(top_p=0.7, delta=1e20))(
+        np.zeros((1, 1), dtype=np.int64), 0.5)
     assert out[0, 0, 2] < -1e19
 
 
@@ -241,7 +242,8 @@ def test_posterior_variant_zero_at_fixed_point():
 def _make_distiller(n_noise=0, **overrides):
     teacher, _ = _trained_toy_teacher()
     cfg = DistillConfig(**overrides)
-    return Distiller(teacher, CB, MASKED, cfg, RngState(21), n_noise=n_noise)
+    return Distiller(teacher, teacher_logits(teacher, cfg), CB, MASKED, cfg, RngState(21),
+                     n_noise=n_noise)
 
 
 _teacher_cache = {}
@@ -267,8 +269,9 @@ def test_alternation_parity():
 
 def test_soft_targets_require_masked_process():
     teacher = Denoiser(ModelConfig(seq_len=2, vocab=2, masked=False), RngState(0))
+    cfg = DistillConfig(soft_targets=True)
     with pytest.raises(DistillError):
-        Distiller(teacher, CB, UNIFORM, DistillConfig(soft_targets=True), RngState(1))
+        Distiller(teacher, teacher_logits(teacher, cfg), CB, UNIFORM, cfg, RngState(1))
 
 
 def test_fixed_point_generator_gradient_is_zero():
@@ -276,7 +279,8 @@ def test_fixed_point_generator_gradient_is_zero():
     # vanish identically, for any batch
     teacher, _ = _trained_toy_teacher()
     cfg = DistillConfig(k=1, soft_targets=True, steps=2)
-    dist = Distiller(teacher, CB, MASKED, cfg, RngState(25), n_noise=0)
+    dist = Distiller(teacher, teacher_logits(teacher, cfg), CB, MASKED, cfg, RngState(25),
+                     n_noise=0)
     phase, loss = dist.step()
     assert phase == "gen"
     assert abs(loss) < 1e-12
@@ -291,13 +295,37 @@ def test_fixed_point_is_stable():
     # and the generator's response to it, under the drift bound.
     teacher, _ = _trained_toy_teacher()
     cfg = DistillConfig(k=1, soft_targets=True, gen_lr=1e-5, aux_lr=1e-5, steps=100)
-    dist = Distiller(teacher, CB, MASKED, cfg, RngState(23), n_noise=0)
+    dist = Distiller(teacher, teacher_logits(teacher, cfg), CB, MASKED, cfg, RngState(23),
+                     n_noise=0)
     probes = np.array([[2, 2], [0, 2], [2, 1], [0, 1]])
     before = teacher.probs(probes, 0.5)
     for _ in range(100):
         dist.step()
     after = dist.generator.probs(probes, 0.5)
     assert 0.5 * np.max(np.sum(np.abs(after - before), axis=-1)) < 1e-3
+
+
+def test_distiller_takes_a_teacher_that_is_not_a_denoiser():
+    # the floored exact oracle is a plain function of (z, s); the generator and
+    # the auxiliary model still start at the init model's weights
+    oracle = oracle_denoiser(ExactDistribution(2, 2, CB.exact_q()), MASKED)
+
+    def teacher(z, s):
+        return np.log(np.maximum(oracle(z, s), 1e-2))
+
+    model, _ = _trained_toy_teacher()
+    cfg = DistillConfig(k=1, aux_per_gen=2)
+    dist = Distiller(model, teacher, CB, MASKED, cfg, RngState(26), n_noise=3)
+    z = np.array([[2, 2], [0, 2], [2, 1]])
+    for t in (0.3, 1.0):
+        np.testing.assert_array_equal(dist.generator.probs(z, t, noise=np.zeros((3, 3))),
+                                      model.probs(z, t))
+        np.testing.assert_array_equal(dist.auxiliary.probs(z, t), model.probs(z, t))
+    steps = [dist.step() for _ in range(6)]
+    assert [phase for phase, _ in steps] == ["gen", "aux", "aux"] * 2
+    assert all(np.isfinite(loss) for _, loss in steps)
+    assert not np.array_equal(dist.generator.probs(z, 0.3, noise=np.zeros((3, 3))),
+                              model.probs(z, 0.3))
 
 
 def test_student_sample_shapes_and_range():

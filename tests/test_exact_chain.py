@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import ddlab
-from ddlab import cli, metrics
+from ddlab import metrics
 from ddlab.data import ENUM_GUARD, all_sequences, seq_index
-from ddlab.distill import DistillConfig
+from ddlab.distill import DistillConfig, teacher_logits
 from ddlab.metrics import ExactDistribution, exact_chain_distribution, oracle_denoiser
 from ddlab.nets import Denoiser, ModelConfig
 from ddlab.numerics import RngState, one_hot, softmax
@@ -314,7 +314,7 @@ def _per_row_times_match_scalar(predict, z, *args):
 def test_teacher_predict_per_row_times_match_scalar(top_p):
     model = Denoiser(ModelConfig(seq_len=5, vocab=2, masked=True), RngState(1))
     model.store.values[:] = RngState(2).normal(model.store.values.shape) * 0.5
-    predict = cli._teacher_predict(model, DistillConfig(tau=0.8, top_p=top_p))
+    predict = teacher_logits(model, DistillConfig(tau=0.8, top_p=top_p))
     # 243 rows: several no-grad row blocks of the forward
     _per_row_times_match_scalar(predict, all_sequences(5, 3))
 
