@@ -32,8 +32,9 @@ from .teacher import train_teacher
 
 CSV_VERSION = "ddlab-csv v1"
 # glibc mallopt parameters, and the values the CLI pins them to: the largest
-# dynamic mmap threshold glibc would reach, and twice it for the trim threshold
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+# dynamic mmap threshold glibc would reach, twice it for the trim threshold,
+# and one arena for all threads
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
 
 
@@ -133,19 +134,31 @@ def _default_steps(generator: bool, cfg: ExperimentConfig, steps: int | None) ->
 
 def cmd_train_teacher(args) -> int:
     cfg, seed, out, dataset, process = ctx = _context(args)
-    model, rows = train_teacher(dataset, process, cfg.model_config(n_noise=0),
-                                cfg.teacher_config(), RngState(seed).child(1),
-                                record_wallclock=cfg.get("run", "record_wallclock"))
+    dcfg, tcfg = cfg.distill_config(), cfg.teacher_config()
+    steps = (1, 2, 4, 8, 16)
+    table = {}
+
+    def last_probe(model) -> float:
+        # one pass for the KL table and the log's last eval_steps chain
+        ks = tuple(sorted({*steps, tcfg.eval_steps}))
+        table.update(zip(ks, _teacher_chain_kl(teacher_logits(model, dcfg), ctx, ks)))
+        return table[tcfg.eval_steps]
+
+    # the log probes the model itself, which the table's teacher is only without surgery
+    exact = chain_enumerable(process, dataset.seq_len)
+    model, rows = train_teacher(dataset, process, cfg.model_config(n_noise=0), tcfg,
+                                RngState(seed).child(1),
+                                record_wallclock=cfg.get("run", "record_wallclock"),
+                                last_probe=last_probe if exact and dcfg.keeps_teacher else None)
     save_checkpoint(os.path.join(out, "teacher.ckpt"), model.config, model.store,
                     extra={"config_hash": config_hash(cfg), "seed": seed, "role": "teacher"})
     _write_csv(os.path.join(out, "teacher_log.csv"),
                ["step", "loss", "eval_kl", "wallclock_ms"], rows, cfg, seed)
-    if chain_enumerable(process, dataset.seq_len):
-        steps = (1, 2, 4, 8, 16)
-        kls = _teacher_chain_kl(teacher_logits(model, cfg.distill_config()), ctx, steps)
-        table = [{"steps": n, "kl": v} for n, v in zip(steps, kls)]
-        _write_csv(os.path.join(out, "teacher_kl_vs_steps.csv"), ["steps", "kl"], table,
-                   cfg, seed)
+    if exact:
+        if not table:  # no shared last probe ran
+            table = dict(zip(steps, _teacher_chain_kl(teacher_logits(model, dcfg), ctx, steps)))
+        _write_csv(os.path.join(out, "teacher_kl_vs_steps.csv"), ["steps", "kl"],
+                   [{"steps": n, "kl": table[n]} for n in steps], cfg, seed)
     print(f"teacher checkpoint and logs written to {out}")
     return 0
 
@@ -437,6 +450,10 @@ def _pin_malloc_thresholds() -> None:
     kernel and is faulted in again on every step depends on the layout that
     earlier allocations left: bits_masked train-teacher took 551 or 65,186
     page faults (0.25 s more) for the same code (2-core x86-64, glibc 2.36).
+
+    One arena: the no-grad forward's helper thread (`nets._run_split`) then
+    takes its temporaries from the main heap's free pages instead of a
+    second arena of its own (1.5-2.6 MB more peak RSS on the benchmark).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -444,6 +461,7 @@ def _pin_malloc_thresholds() -> None:
         return
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_BYTES)
+    mallopt(M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -75,6 +75,12 @@ class DistillConfig:
         if not 0.0 < self.ds <= 1.0:
             raise DistillError("ds must lie in (0, 1]")
 
+    @property
+    def keeps_teacher(self) -> bool:
+        """Whether `teacher_logits` leaves the model's distribution as it is
+        (tau = 1, no nucleus), up to rounding."""
+        return self.tau == 1.0 and self.top_p >= 1.0
+
 
 def sample_times(rng: RngState, k: int, size=None):
     """s ~ U(0,1), t = min(1, s + U(0, 1/k)); always 0 <= s <= t <= 1, t-s <= 1/k.

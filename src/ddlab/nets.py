@@ -10,6 +10,8 @@ at init it equals its teacher bit for bit.
 from __future__ import annotations
 
 import io
+import os
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -81,22 +83,59 @@ def _init_params(config: ModelConfig, rng: RngState) -> dict[str, np.ndarray]:
 
 
 # Byte budget of the (rows, D, hidden) activation, the largest temporary of
-# one row block of a no-grad forward. Below glibc's 128 KiB mmap threshold,
-# so block temporaries reuse heap memory instead of faulting in fresh
-# mmapped pages on every call (256 KiB blocks took ~1,600 page faults per
-# 1,024-row forward at D=5; 64 KiB took none).
-FORWARD_BLOCK_BYTES = 64 * 1024
+# one row block of a no-grad forward. With the CLI's malloc pin its blocks
+# reuse heap pages: 256 KiB blocks took 0 page faults per 1,024-row forward
+# at D=5 (1,038 under glibc's default 128 KiB mmap threshold).
+FORWARD_BLOCK_BYTES = 256 * 1024
+# No-grad calls from this activation size on try `_input_table`; smaller
+# ones (a training batch of 64 rows) skip its run search.
+TABLE_MIN_BYTES = 64 * 1024
 
 
-def _block_rows(config: ModelConfig) -> int:
-    """Rows of one no-grad block, a multiple of 8.
+def _block_rows(config: ModelConfig, nbytes: int | None = None) -> int:
+    """Rows whose (rows, D, hidden) activation fills `nbytes` (by default
+    `FORWARD_BLOCK_BYTES`), a multiple of 8.
 
     BLAS rounds the trailing rows of a product (past a multiple of its
     unroll width) differently, so blocks start on rows where the rounding
     is that of one product over the whole batch.
     """
-    rows = FORWARD_BLOCK_BYTES // (8 * config.seq_len * config.hidden)
+    rows = (nbytes or FORWARD_BLOCK_BYTES) // (8 * config.seq_len * config.hidden)
     return max(8, rows - rows % 8)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_split(run, blocks) -> None:
+    """run(blocks[0::2]) here and run(blocks[1::2]) on one helper thread, which
+    is joined before this returns; an exception in it re-raises here.
+
+    numpy drops the GIL in the blocks' products and tanh, so on two CPUs the
+    halves overlap. Each block writes only its own rows, so the result is
+    that of running every block here.
+    """
+    failed = []
+
+    def helper():
+        try:
+            run(blocks[1::2])
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        run(blocks[0::2])
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _check_inputs(config: ModelConfig, params, z, noise):
@@ -279,9 +318,11 @@ class Denoiser:
         """Logits (batch, D, K). `params` maps names to weight arrays (the
         store's by default); `cache` keeps the activations for `backward`.
 
-        Without a cache the rows run in blocks of `_block_rows`, and a call
-        of at least one block whose rows share (t, noise) in few runs reads
-        block 0 from `_input_table`."""
+        Without a cache the rows run in blocks of `_block_rows`, split
+        between this thread and one helper when there are several blocks and
+        more than one CPU (`_run_split`; the logits are the same bit for bit).
+        A call of at least `TABLE_MIN_BYTES` whose rows share (t, noise) in
+        few runs reads block 0 from `_input_table`."""
         config = self.config
         params = self.store.arrays() if params is None else params
         z, noise = _check_inputs(config, params, z, noise)
@@ -292,17 +333,28 @@ class Denoiser:
             cache.update(z=z, tfeat=tfeat, noise=noise)
             _fused_forward(config, params, _embed(params, z, tfeat, noise), out, cache)
             return out
+        runs = None
+        if B >= _block_rows(config, TABLE_MIN_BYTES):
+            runs = _input_table(config, params, z, t, tfeat, noise)
         rows = _block_rows(config)
-        runs = None if B < rows else _input_table(config, params, z, t, tfeat, noise)
         # the last block takes the remainder, so no block is short
         bounds = [i * rows for i in range(max(1, B // rows))] + [B]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if runs is None:
-                h = _embed(params, z[lo:hi], tfeat[lo:hi], None if noise is None else noise[lo:hi])
-            else:
-                table, index = runs
-                h = table[index[lo:hi]]
-            _fused_forward(config, params, h, out[lo:hi], mixed=runs is not None)
+        blocks = list(zip(bounds[:-1], bounds[1:]))
+
+        def run(part):
+            for lo, hi in part:
+                if runs is None:
+                    h = _embed(params, z[lo:hi], tfeat[lo:hi],
+                               None if noise is None else noise[lo:hi])
+                else:
+                    table, index = runs
+                    h = table[index[lo:hi]]
+                _fused_forward(config, params, h, out[lo:hi], mixed=runs is not None)
+
+        if len(blocks) > 1 and _cpus() > 1:
+            _run_split(run, blocks)
+        else:
+            run(blocks)
         return out
 
     def probs(self, z, t, noise=None) -> np.ndarray:

@@ -90,8 +90,11 @@ def teacher_step(model: Denoiser, batch: np.ndarray, process: DiffusionProcess,
 
 def train_teacher(dataset: SyntheticDataset, process: DiffusionProcess,
                   model_config: ModelConfig, train_config: TeacherTrainConfig,
-                  rng: RngState, record_wallclock: bool = True):
-    """Returns (trained Denoiser, log rows). Log: step, loss, eval_kl, wallclock_ms."""
+                  rng: RngState, record_wallclock: bool = True, last_probe=None):
+    """Returns (trained Denoiser, log rows). Log: step, loss, eval_kl, wallclock_ms.
+
+    `last_probe(model)`, if given, returns the last step's eval_kl in place
+    of `_eval_kl`: the caller's own pass over the trained model's chains."""
     init_rng, step_rng = rng.child(0), rng.child(1)
     model = Denoiser(model_config, init_rng)
     opt = AdamState.for_store(model.store)
@@ -104,7 +107,10 @@ def train_teacher(dataset: SyntheticDataset, process: DiffusionProcess,
             raise NumericsError(f"teacher loss diverged at step {step}")
         adam_step(model.store, opt, lr=train_config.lr)
         if step % train_config.eval_every == 0 or step == train_config.steps - 1:
-            eval_kl = _eval_kl(model, dataset, process, train_config.eval_steps)
+            if step == train_config.steps - 1 and last_probe is not None:
+                eval_kl = last_probe(model)
+            else:
+                eval_kl = _eval_kl(model, dataset, process, train_config.eval_steps)
             ms = (time.monotonic() - t0) * 1000.0 if record_wallclock else 0.0
             rows.append({"step": step, "loss": loss_val, "eval_kl": eval_kl,
                          "wallclock_ms": round(ms, 3)})

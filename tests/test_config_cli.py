@@ -435,6 +435,48 @@ def test_cli_pins_malloc_thresholds():
     block = np.empty(3 * 2 ** 20)
     assert libc.mallinfo2().hblkhd == before
     del block
+    # and a second thread allocates from the main arena: glibc's malloc_info
+    # lists one heap per arena (a fresh process, so that no earlier thread
+    # has made an arena yet)
+    assert [_malloc_heaps_after_a_thread(pin) for pin in (False, True)] == [2, 1]
+
+
+_HEAPS_SCRIPT = """\
+import ctypes, os, sys, tempfile, threading
+import ddlab.cli
+if sys.argv[1] == "pin":
+    ddlab.cli._pin_malloc_thresholds()
+thread = threading.Thread(target=lambda: bytearray(2 ** 16))
+thread.start()
+thread.join()
+libc = ctypes.CDLL(None)
+libc.fdopen.restype = ctypes.c_void_p
+libc.fdopen.argtypes = [ctypes.c_int, ctypes.c_char_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+libc.malloc_info.restype = libc.fclose.restype = ctypes.c_int
+with tempfile.TemporaryFile() as fh:
+    stream = libc.fdopen(os.dup(fh.fileno()), b"w")
+    libc.malloc_info(0, stream)
+    libc.fclose(stream)
+    fh.seek(0)
+    print(fh.read().count(b"<heap nr="))
+"""
+
+
+def _malloc_heaps_after_a_thread(pin: bool) -> int:
+    import subprocess
+    import sys
+
+    import ddlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddlab.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _HEAPS_SCRIPT, "pin" if pin else "plain"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return int(proc.stdout)
 
 
 def _random_model(cfg, n_noise, seed):
@@ -769,6 +811,52 @@ def test_cli_teacher_kl_is_one_chain_across_commands(tmp_path):
     column = table("student_kl_vs_k.csv", "k", "teacher_kl")
     assert sorted(column) == ["1", "2", "4"]
     assert column == {k: steps[k] for k in column}
+
+
+@pytest.mark.parametrize("surgery, eval_steps", [("", 4), ("", 3), ("tau = 0.7\n", 4)],
+                         ids=["plain", "eval_steps_off_the_table", "tau"])
+def test_cli_train_teacher_last_probe_shares_the_table_pass(tmp_path, monkeypatch, surgery,
+                                                             eval_steps):
+    # the log's last probe (step 199) reads the KL table's pass, unless the
+    # surgery makes the table's teacher another distribution than the model
+    # that the log probes
+    import ddlab.cli as cli
+    import ddlab.metrics as metrics
+    from ddlab.nets import model_from_checkpoint
+    from ddlab.teacher import _eval_kl
+
+    chain, passes = metrics.exact_chain_distribution, []
+
+    def counted(predict, process, k, *args, **kwargs):
+        passes.append(k)
+        return chain(predict, process, k, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "exact_chain_distribution", counted)
+    monkeypatch.setattr(cli, "exact_chain_distribution", counted)
+    path = tmp_path / "exp.ini"
+    path.write_text(BASE_CONFIG.replace("eval_steps = 4", f"eval_steps = {eval_steps}")
+                    .replace("[distill]\n", "[distill]\n" + surgery))
+    out = str(tmp_path / "out")
+    assert main(["train-teacher", "--config", str(path), "--out", out]) == 0
+    table = (1, 2, 4, 8, 16)
+    if surgery:
+        assert passes == [eval_steps] * 3 + [table]
+    else:
+        assert passes == [eval_steps] * 2 + [tuple(sorted({*table, eval_steps}))]
+
+    def rows(name):
+        with open(os.path.join(out, name)) as fh:
+            return list(csv.DictReader(fh.readlines()[1:]))
+
+    log, kls = rows("teacher_log.csv"), rows("teacher_kl_vs_steps.csv")
+    assert [row["steps"] for row in kls] == [str(n) for n in table]
+    assert log[-1]["step"] == "199"
+    cfg = load_config(str(path))
+    model, _ = model_from_checkpoint(os.path.join(out, "teacher.ckpt"))
+    own = _eval_kl(model, cfg.dataset(), cfg.process(), eval_steps)
+    assert float(log[-1]["eval_kl"]) == pytest.approx(own, rel=1e-9)
+    if not surgery and eval_steps == 4:
+        assert log[-1]["eval_kl"] == kls[2]["kl"]
 
 
 FIELDS = [(section, key) for section, keys in SCHEMA.items() for key in keys]

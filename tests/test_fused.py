@@ -1,5 +1,8 @@
 """The fused network and loss heads against the autodiff tape, their oracle."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -51,11 +54,12 @@ def _dp_inputs(model, n_times, draws, states, seed=10):
     return z, t, noise
 
 
-# (vocab, n_times, draws, states) of the DP layouts: one time and several
-# draws; several per-row times; K = 2, whose table of vocab_in <= 3 rows per
-# run is padded; and 201 rows, so B * D is not a multiple of 8
-DP_LAYOUTS = {"dp": (3, 1, 3, 70), "dp_times": (3, 3, 2, 40), "dp_k2": (2, 1, 2, 150),
-              "dp_odd": (3, 1, 3, 67)}
+# (vocab, n_times, draws, states) of the DP layouts, each of at least two row
+# blocks: one time and several draws; several per-row times; K = 2, whose
+# table of vocab_in <= 3 rows per run is padded; and 1,371 rows, so B * D is
+# not a multiple of 8
+DP_LAYOUTS = {"dp": (3, 1, 3, 460), "dp_times": (3, 3, 2, 230), "dp_k2": (2, 1, 2, 690),
+              "dp_odd": (3, 1, 3, 457)}
 
 
 # True / False: independent rows with per-row times or one shared time (and
@@ -98,6 +102,114 @@ def test_denoiser_forward_equals_tape_forward(seq_len):
     z = RngState(5).integers(0, cfg.vocab_in, size=(batch, seq_len))
     tape = tape_forward(model, z, 0.5).value
     assert np.array_equal(model.forward(z, 0.5), tape)
+
+
+# per-row times; one shared time (with n_noise > 0 every row has its own
+# noise); and the DP's run-table layout of two times by two draws
+SPLIT_LAYOUTS = ("per_row", "shared", "dp")
+
+
+def _split_inputs(masked, n_noise, seq_len, layout):
+    """A model and inputs of three row blocks plus a remainder."""
+    model = _random_model(masked, n_noise, depth=2, seq_len=seq_len)
+    batch = 3 * nets._block_rows(model.config) + 37
+    if layout == "dp":
+        z, t, noise = _dp_inputs(model, 2, 2, -(-batch // 4))
+    else:
+        z, t, noise = _inputs(model, batch, layout == "per_row")
+    reads_table = layout == "dp" or (layout == "shared" and not n_noise)
+    cfg = model.config
+    table = nets._input_table(cfg, model.store.arrays(), z, t,
+                              nets.time_features(t, cfg.time_width, len(z)), noise)
+    assert (table is not None) == reads_table
+    return model, z, t, noise
+
+
+def _forward_on(monkeypatch, cpus, model, z, t, noise):
+    monkeypatch.setattr(nets, "_cpus", lambda: cpus)
+    return model.forward(z, t, noise=noise)
+
+
+@pytest.mark.parametrize("layout", SPLIT_LAYOUTS)
+@pytest.mark.parametrize("n_noise", [0, 8])
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("seq_len", [1, 2, 5])
+def test_split_forward_equals_serial_forward(monkeypatch, seq_len, masked, n_noise, layout):
+    model, z, t, noise = _split_inputs(masked, n_noise, seq_len, layout)
+    splits = []
+    run_split = nets._run_split
+    monkeypatch.setattr(nets, "_run_split", lambda run, blocks: (splits.append(len(blocks)),
+                                                                  run_split(run, blocks)))
+    serial = _forward_on(monkeypatch, 1, model, z, t, noise)
+    assert splits == []
+    split = _forward_on(monkeypatch, 2, model, z, t, noise)
+    assert splits == [3]
+    assert np.array_equal(split, serial)
+
+
+@pytest.mark.parametrize("layout", SPLIT_LAYOUTS)
+@pytest.mark.parametrize("n_noise", [0, 8])
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("seq_len", [1, 2, 5])
+def test_forward_block_size_keeps_logits(monkeypatch, seq_len, masked, n_noise, layout):
+    # blocks of FORWARD_BLOCK_BYTES give the logits of 64 KiB blocks bit for bit
+    model, z, t, noise = _split_inputs(masked, n_noise, seq_len, layout)
+    chosen, rows = model.forward(z, t, noise=noise), nets._block_rows(model.config)
+    monkeypatch.setattr(nets, "FORWARD_BLOCK_BYTES", 64 * 1024)
+    assert nets._block_rows(model.config) < rows
+    assert np.array_equal(model.forward(z, t, noise=noise), chosen)
+
+
+class BlockFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["helper", "main"])
+def test_split_forward_raises_and_joins(monkeypatch, failing):
+    # a block that raises on either thread fails the call, and the helper
+    # thread has ended by the time the exception reaches the caller
+    model, z, t, noise = _split_inputs(True, 8, 5, "per_row")
+    fused = nets._fused_forward
+
+    def fused_or_fail(*args, **kwargs):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (failing == "main"):
+            raise BlockFailure(failing)
+        return fused(*args, **kwargs)
+
+    monkeypatch.setattr(nets, "_fused_forward", fused_or_fail)
+    before = threading.active_count()
+    with pytest.raises(BlockFailure, match=failing):
+        _forward_on(monkeypatch, 2, model, z, t, noise)
+    assert threading.active_count() == before
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("the forward started a thread")
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_one_cpu_starts_no_thread(monkeypatch, affinity):
+    # one CPU, from the affinity mask or (without one) from the CPU count
+    model, z, t, noise = _split_inputs(False, 8, 5, "per_row")
+    want = model.forward(z, t, noise=noise)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert nets._cpus() == 1
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    assert np.array_equal(model.forward(z, t, noise=noise), want)
+
+
+def test_cached_and_one_block_forwards_start_no_thread(monkeypatch):
+    model, z, t, noise = _split_inputs(False, 8, 5, "per_row")
+    rows = nets._block_rows(model.config)
+    monkeypatch.setattr(nets, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    model.forward(z, t, noise=noise, params=model.store.arrays(), cache={})
+    model.forward(z[:2 * rows - 1], t[:2 * rows - 1], noise=noise[:2 * rows - 1])
 
 
 def _tape_grads(model, z, t, noise, dlogits):

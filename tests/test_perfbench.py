@@ -83,11 +83,11 @@ def test_tracer_times_the_exact_kl_probes(tmp_path):
     # Rows the exact-chain passes hand to predict, on masked K=2 D=2: the
     # all-MASK state at t = 1, then the 5 states with a MASK at each later
     # time, shared in one call (times the noise draws, 4, for the generator).
-    # train-teacher: 3 probes at k = 4 (1 + 3 * 5 = 16 rows each) and the
-    # table's pass at k = 1, 2, 4, 8, 16 over the 16 times i / 16
-    # (1 + 15 * 5 = 76): 48 + 76 = 124.
+    # train-teacher: probes at steps 0 and 10 at k = 4 (1 + 3 * 5 = 16 rows
+    # each) and the table's pass at k = 1, 2, 4, 8, 16 over the 16 times
+    # i / 16, which also serves the last probe (1 + 15 * 5 = 76): 32 + 76 = 108.
     # distill ([distill] k = 1): probes at steps 0 and 5 (4 rows each), the
     # last probe's pass at k = 1, 2, 4 (4 + 3 * 5 * 4 = 64) and the teacher's
     # pass at k = 1, 2, 4 (1 + 3 * 5 = 16): 8 + 64 + 16 = 88.
-    # eval: the generator's k = 1 chain, 4 rows. In all, 124 + 88 + 4 = 216.
-    assert layers["metrics.exact_chain_states"] == 216
+    # eval: the generator's k = 1 chain, 4 rows. In all, 108 + 88 + 4 = 200.
+    assert layers["metrics.exact_chain_states"] == 200
