@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import ENUM_GUARD, all_sequences, seq_index
 from .numerics import RngState, entropy, log_softmax
-from .process import DiffusionProcess, likelihood, posterior_table
+from .process import DiffusionProcess, likelihood, step_mixture
 
 
 class MetricError(ValueError):
@@ -219,16 +219,6 @@ def _live_groups(plan: _ChainPlan, live: np.ndarray) -> list:
     return groups
 
 
-def _per_pos(process: DiffusionProcess, xhat: np.ndarray, tables: np.ndarray,
-             z: np.ndarray) -> np.ndarray:
-    """q(z_s | z_t = z, xhat) per position: xhat (n, draws, N, D, K) of n steps
-    and their posterior tables (n, keff, K, keff) -> (n, draws, N, D, keff)."""
-    if process.masked:
-        # the free positions of a masked chain all hold MASK
-        return xhat @ tables[:, -1, None, None]
-    return np.einsum("srndc,sndcj->srndj", xhat, tables[:, z])
-
-
 def _calls(predict, z: np.ndarray, times: np.ndarray, noise_draws: np.ndarray | None, K: int):
     """`predict` on every state of z (N, D) at each of the n `times`, under
     every row of noise_draws (R, n_noise) or none: yields (xhat (n, r, N, D, K),
@@ -350,15 +340,17 @@ def exact_chain_distribution(predict, process: DiffusionProcess, k: int | tuple[
                 if n == 1 else np.arange(len(plan.order)))
         src = plan.order[live]
         z_src, groups = plan.states[src], _live_groups(plan, live)
-        tables = {}
+        # per chain, the (s, t) of its steps in this call
+        grids = {}
         for c, at in stepping.items():
             i = np.array([step_of[c][call[j]] for j in at])
-            tables[c], _ = posterior_table(process, (i - 1) / c, i / c)
+            grids[c] = ((i - 1) / c, i / c)
         new = {c: dist[c] * plan.kept for c in stepping}
         for xhat, share in _calls(predict, z_src, np.array(call), noise_draws, K):
             for c, at in stepping.items():
                 x = xhat if len(at) == n else xhat[at]
-                chunks = _chunks(_per_pos(process, x, tables[c], z_src), groups)
+                # the sampler's step rows; a masked chain reads only its MASK positions
+                chunks = _chunks(step_mixture(x, z_src, *grids[c], process), groups)
                 if len(at) > 1:  # every step reads every chunk
                     chunks = list(chunks)
                 for j in range(len(at)):

@@ -66,9 +66,13 @@ class RngState:
     def normal(self, size=None) -> np.ndarray:
         return self._generator().standard_normal(size=size)
 
-    def gumbel(self, size=None) -> np.ndarray:
-        u = self._generator().uniform(1e-300, 1.0, size=size)
-        return -np.log(-np.log(u))
+    def gumbel(self, size) -> np.ndarray:
+        # -log(-log(u)), computed in the array of u: no temporary of its size
+        g = self._generator().uniform(1e-300, 1.0, size=size)
+        np.log(g, out=g)
+        np.negative(g, out=g)
+        np.log(g, out=g)
+        return np.negative(g, out=g)
 
     def integers(self, low, high, size=None) -> np.ndarray:
         return self._generator().integers(low, high, size=size)
@@ -125,12 +129,15 @@ ROW_TOL = 1e-6
 
 
 def row_error(probs: np.ndarray) -> str | None:
-    """Why `probs` (last axis the categories) is not a stack of probability
-    rows within ROW_TOL, or None when it is."""
-    if np.any(probs < -ROW_TOL):
-        return "negative probabilities"
+    """Why `probs` (last axis the categories) is not a stack of finite
+    probability rows within ROW_TOL, or None when it is. Each test asks that
+    every entry passes, so NaN, which fails every comparison, fails it."""
+    if not (probs >= -ROW_TOL).all():
+        return "non-finite probabilities" if np.isnan(probs).any() else "negative probabilities"
     dev = np.abs(np.sum(probs, axis=-1) - 1.0)
-    if np.any(dev > ROW_TOL):
+    if not (dev <= ROW_TOL).all():
+        if not np.isfinite(dev).all():
+            return "non-finite probabilities"
         return f"rows must sum to 1 (max deviation {np.max(dev):.3g})"
     return None
 
@@ -152,9 +159,10 @@ def categorical_sample(probs: np.ndarray, rng: RngState) -> np.ndarray:
     error = row_error(probs)
     if error is not None:
         raise NumericsError(error)
-    # the noise first: its temporaries are freed before the log-probabilities exist
+    # the noise first, then the log-probabilities in one temporary
     g = rng.gumbel(size=probs.shape)
-    g += np.log(np.maximum(probs, 1e-300))
+    logp = np.maximum(probs, 1e-300)
+    g += np.log(logp, out=logp)
     return np.argmax(g, axis=-1)
 
 

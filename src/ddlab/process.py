@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState
+from .numerics import NumericsError, RngState, row_error
 
 
 class ProcessError(ValueError):
@@ -123,6 +123,28 @@ def likelihood(process: DiffusionProcess, t) -> np.ndarray:
     return alpha_t * eye + (1.0 - alpha_t) * process.pi[:, None]
 
 
+def _factors(process: DiffusionProcess, s, t):
+    """(from_z, to_x, lik): q(z_s=j | z_t=z, x=c) = from_z[z, j] to_x[c, j] / lik[z, c]
+    before `posterior_table`'s carry-over. Times as for `posterior_table`."""
+    s = np.asarray(s, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    # one test for all three bounds: the exact DP reads factors at thousands of times
+    if not ((0.0 <= s) & (s <= t) & (t <= 1.0)).all():
+        raise ProcessError(f"posterior needs 0 <= s <= t <= 1, got s={s} t={t}")
+    alpha_s, alpha_t = process.schedule.alpha(s), process.schedule.alpha(t)
+    a_ts = _aligned(np.where(alpha_s > 0, alpha_t / np.maximum(alpha_s, 1e-300), 1.0))
+    alpha_s = _aligned(alpha_s)
+    eye, pi = np.eye(process.vocab_eff), process.pi
+    from_z = a_ts * eye + (1.0 - a_ts) * pi[:, None]  # (z, j)
+    to_x = alpha_s * eye[:process.vocab] + (1.0 - alpha_s) * pi  # (c, j)
+    return from_z, to_x, likelihood(process, t)
+
+
+def _floored(lik: np.ndarray) -> np.ndarray:
+    """lik, with inf for the pairs the forward process cannot produce."""
+    return np.where(lik > DENOM_FLOOR, lik, np.inf)
+
+
 def posterior_table(process: DiffusionProcess, s, t) -> tuple[np.ndarray, np.ndarray]:
     """(table, lik): table[..., z, c, j] = q(z_s=j | z_t=z, x=c) and lik = `likelihood`.
 
@@ -132,24 +154,47 @@ def posterior_table(process: DiffusionProcess, s, t) -> tuple[np.ndarray, np.nda
     masked z_t has revealed stays put whatever x says (carry-over): its rows
     are one-hot. Per-example `s`, `t` of shape (batch,) add a leading axis.
     """
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    # one test for all three bounds: the exact DP builds thousands of tables
-    if not ((0.0 <= s) & (s <= t) & (t <= 1.0)).all():
-        raise ProcessError(f"posterior needs 0 <= s <= t <= 1, got s={s} t={t}")
-    alpha_s, alpha_t = process.schedule.alpha(s), process.schedule.alpha(t)
-    a_ts = _aligned(np.where(alpha_s > 0, alpha_t / np.maximum(alpha_s, 1e-300), 1.0))
-    alpha_s = _aligned(alpha_s)
-    keff, K, pi = process.vocab_eff, process.vocab, process.pi
-    eye = np.eye(keff)
-    lik = likelihood(process, t)
-    from_z = a_ts * eye + (1.0 - a_ts) * pi[:, None]  # (z, j)
-    to_x = alpha_s * eye[:K] + (1.0 - alpha_s) * pi  # (c, j)
-    table = (from_z[..., :, None, :] * to_x[..., None, :, :]
-             / np.where(lik > DENOM_FLOOR, lik, np.inf)[..., None])
+    from_z, to_x, lik = _factors(process, s, t)
+    table = from_z[..., :, None, :] * to_x[..., None, :, :] / _floored(lik)[..., None]
     if process.masked:
-        table[..., :K, :, :] = eye[:K, None, :]
+        K = process.vocab
+        table[..., :K, :, :] = np.eye(process.vocab_eff)[:K, None, :]
     return table, lik
+
+
+def step_mixture(probs: np.ndarray, z_t: np.ndarray, s, t,
+                 process: DiffusionProcess) -> np.ndarray:
+    """The reverse step q(z_s | z_t) = sum_c probs[..., c] q(z_s | z_t, x = c)
+    per position, for rows `probs` (..., D, K) of p(x | z_t): (..., D, K_eff).
+
+    Masked: probs @ table[MASK], the MASK row of the posterior table; the row
+    of a token z_t has revealed is the caller's to replace by that token
+    (carry-over). Uniform: from the table's factors, from_z[z_t] ⊙ ((probs /
+    lik[z_t]) @ to_x), so no temporary is wider than K_eff per position.
+    Per-step `s`, `t` of shape (n,) index a leading step axis of probs,
+    (n, ..., D, K), against whose other axes z_t broadcasts.
+    """
+    from_z, to_x, lik = _factors(process, s, t)
+    if process.masked:
+        mask = process.mask_id
+        return _product(probs, from_z[..., mask, None, :] * to_x
+                        / _floored(lik[..., mask, :, None]))
+
+    def at(a):  # a's rows at z_t; per-step ones with unit axes up to z_t's
+        if a.ndim == 2:
+            return a[z_t]
+        lead = (len(a),) + (1,) * (probs.ndim - z_t.ndim - 2)
+        return a[:, z_t].reshape(lead + z_t.shape + a.shape[-1:])
+
+    return _product(probs / at(_floored(lik)), to_x) * at(from_z)
+
+
+def _product(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """rows (..., K) @ m (K, J) as one matrix product, or one per step for
+    per-step m (n, K, J) and rows (n, ..., K): numpy's stacked matmul of many
+    small matrices is several times slower."""
+    flat = rows.reshape(m.shape[:-2] + (-1, rows.shape[-1]))
+    return (flat @ m).reshape(rows.shape[:-1] + m.shape[-1:])
 
 
 class Posterior:
@@ -216,7 +261,8 @@ def posterior(x, z_t: np.ndarray, s, t, process: DiffusionProcess) -> np.ndarray
 
 
 def posterior_sample(x, z_t, s, t, process: DiffusionProcess, rng: RngState) -> np.ndarray:
-    """Sample hard tokens z_s ~ q(z_s | z_t, x)."""
+    """Sample hard tokens z_s ~ q(z_s | z_t, x): the distiller's step, whose x
+    is a training target (`ancestral_sample` draws from `step_mixture`)."""
     from .numerics import categorical_sample
 
     return categorical_sample(posterior(x, z_t, s, t, process), rng)
@@ -228,8 +274,12 @@ def ancestral_sample(model_probs_fn, process: DiffusionProcess, steps: int,
 
     `model_probs_fn(z, t)` returns per-position probabilities over the data
     vocabulary, shape (batch, D, K); logit surgery, if any, is the caller's
-    to bake into that function.
+    to bake into that function. Each step is one draw per position from the
+    `step_mixture` q(z_s | z_t), the row the exact-chain DP propagates, so a
+    chain of `steps` steps takes `steps` draws (one more for a uniform start).
     """
+    from .numerics import categorical_sample
+
     if steps < 1:
         raise ProcessError("steps must be >= 1")
     D = seq_len
@@ -240,9 +290,12 @@ def ancestral_sample(model_probs_fn, process: DiffusionProcess, steps: int,
     for i in range(steps, 0, -1):
         t = i / steps
         s = (i - 1) / steps
-        probs = model_probs_fn(z, t)
-        from .numerics import categorical_sample
-
-        x = categorical_sample(probs, rng)
-        z = posterior_sample(x, z, s, t, process, rng)
+        probs = np.asarray(model_probs_fn(z, t), dtype=np.float64)
+        # the model's rows, checked here: a mixture of them can hide a negative entry
+        error = row_error(probs)
+        if error is not None:
+            raise NumericsError(error)
+        draw = categorical_sample(step_mixture(probs, z, s, t, process), rng)
+        # a token a masked chain has revealed carries over
+        z = np.where(z == process.mask_id, draw, z) if process.masked else draw
     return z

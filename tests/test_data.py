@@ -86,6 +86,15 @@ def test_dataset_validation():
         make_dataset("gaussian_blobs", 2, 2)
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0]])
+def test_non_finite_mode_weights_are_dataset_error(weights):
+    # NaN fails every comparison, so a check of the form "any entry bad" let
+    # [nan, 1.0] through and the sampler drew only mode 0
+    with pytest.raises(DatasetError, match="non-finite"):
+        SyntheticDataset("mode_mixture", 2, 2, modes=np.array([[0, 0], [1, 1]]),
+                         mode_weights=weights)
+
+
 def test_make_dataset_is_seed_deterministic():
     a = make_dataset("markov_chain", 2, 3, seed=9)
     b = make_dataset("markov_chain", 2, 3, seed=9)

@@ -24,8 +24,8 @@ MASKED = DiffusionProcess("masked", 3, NoiseSchedule("linear"))
 UNIFORM = DiffusionProcess("uniform", 3, NoiseSchedule("linear"))
 
 
-def _random_model(masked, n_noise, depth, seed=0, vocab=3, seq_len=4):
-    cfg = ModelConfig(seq_len=seq_len, vocab=vocab, masked=masked, emb=8, hidden=12,
+def _random_model(masked, n_noise, depth, seed=0, vocab=3, seq_len=4, hidden=12):
+    cfg = ModelConfig(seq_len=seq_len, vocab=vocab, masked=masked, emb=8, hidden=hidden,
                       depth=depth, time_width=4, n_noise=n_noise)
     model = Denoiser(cfg, RngState(seed))
     model.store.values[:] = RngState(seed + 1).normal(model.store.values.shape) * 0.5
@@ -107,10 +107,19 @@ def test_denoiser_forward_equals_tape_forward(seq_len):
 # per-row times; one shared time (with n_noise > 0 every row has its own
 # noise); and the DP's run-table layout of two times by two draws
 SPLIT_LAYOUTS = ("per_row", "shared", "dp")
+# the same grid, and the DP's 1,024-row call of one time and one draw at D=5
+# with the default hidden width: five 200-row blocks, the last of 224 rows
+SPLIT_CASES = [(seq_len, masked, n_noise, layout) for seq_len in (1, 2, 5)
+               for masked in (False, True) for n_noise in (0, 8) for layout in SPLIT_LAYOUTS]
+SPLIT_CASES += [(5, masked, n_noise, "dp_1024") for masked in (False, True) for n_noise in (0, 8)]
 
 
 def _split_inputs(masked, n_noise, seq_len, layout):
-    """A model and inputs of three row blocks plus a remainder."""
+    """A model and inputs of three row blocks plus a remainder, or of the
+    DP's 1,024-row call."""
+    if layout == "dp_1024":
+        model = _random_model(masked, n_noise, depth=2, seq_len=seq_len, hidden=32)
+        return (model, *_dp_inputs(model, 1, 1, 1024))
     model = _random_model(masked, n_noise, depth=2, seq_len=seq_len)
     batch = 3 * nets._block_rows(model.config) + 37
     if layout == "dp":
@@ -130,20 +139,28 @@ def _forward_on(monkeypatch, cpus, model, z, t, noise):
     return model.forward(z, t, noise=noise)
 
 
-@pytest.mark.parametrize("layout", SPLIT_LAYOUTS)
-@pytest.mark.parametrize("n_noise", [0, 8])
-@pytest.mark.parametrize("masked", [True, False])
-@pytest.mark.parametrize("seq_len", [1, 2, 5])
+@pytest.mark.parametrize("seq_len,masked,n_noise,layout", SPLIT_CASES)
 def test_split_forward_equals_serial_forward(monkeypatch, seq_len, masked, n_noise, layout):
     model, z, t, noise = _split_inputs(masked, n_noise, seq_len, layout)
     splits = []
     run_split = nets._run_split
-    monkeypatch.setattr(nets, "_run_split", lambda run, blocks: (splits.append(len(blocks)),
-                                                                  run_split(run, blocks)))
+    monkeypatch.setattr(nets, "_run_split", lambda run, *halves: (splits.append(halves),
+                                                                   run_split(run, *halves)))
     serial = _forward_on(monkeypatch, 1, model, z, t, noise)
     assert splits == []
     split = _forward_on(monkeypatch, 2, model, z, t, noise)
-    assert splits == [3]
+    # one contiguous half per thread, cut at a multiple of 8 rows within 8 of
+    # the middle; blocks of `_block_rows`, the first half's last one cut short
+    # and the second half's last one taking the remainder
+    ((first, second),) = splits
+    rows, cut = nets._block_rows(model.config), first[-1][1]
+    assert first[0][0] == 0 and second[0][0] == cut and second[-1][1] == len(z)
+    assert cut % 8 == 0 and 0 <= len(z) - 2 * cut < 16
+    for half in (first, second):
+        assert all(hi - lo == rows for lo, hi in half[:-1])
+        assert [b for b, _ in half[1:]] == [e for _, e in half[:-1]]
+    assert 8 <= first[-1][1] - first[-1][0] <= rows
+    assert rows <= second[-1][1] - second[-1][0] < 2 * rows
     assert np.array_equal(split, serial)
 
 

@@ -97,6 +97,13 @@ def test_categorical_sample_rejects_bad_rows():
         categorical_sample(np.array([[1.2, -0.2]]), rng)
 
 
+@pytest.mark.parametrize("row", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan],
+                                 [np.inf, 0.0], [-np.inf, 1.0]])
+def test_categorical_sample_rejects_non_finite_rows(row):
+    with pytest.raises(NumericsError):
+        categorical_sample(np.array([[0.3, 0.7], row]), RngState(0))
+
+
 def test_one_hot():
     out = one_hot(np.array([[0, 2]]), 3)
     assert out.shape == (1, 2, 3)

@@ -4,15 +4,22 @@ The posterior checks are two-route: hand-derived values and Monte Carlo
 frequencies against the analytic vector.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
+from ddlab import process as process_module
 from ddlab.autodiff import ParamStore
-from ddlab.numerics import RngState, one_hot, softmax
+from ddlab.data import make_dataset, seq_index
+from ddlab.metrics import ExactDistribution, exact_chain_distribution, oracle_denoiser
+from ddlab.nets import Denoiser, ModelConfig
+from ddlab.numerics import NumericsError, RngState, one_hot, softmax
 from ddlab.process import (DENOM_FLOOR, DiffusionProcess, NoiseSchedule, Posterior,
                            ProcessError, ancestral_sample, diffuse, posterior,
-                           posterior_sample, posterior_table)
+                           posterior_sample, posterior_table, step_mixture)
 from oracle import finite_diff_check, posterior as oracle_posterior
 
 MASKED = DiffusionProcess("masked", 2, NoiseSchedule("linear"))
@@ -313,3 +320,142 @@ def test_ancestral_sample_uniform_predictor_is_uniform():
     idx = out[:, 0] * 2 + out[:, 1]
     freqs = np.bincount(idx, minlength=4) / out.shape[0]
     assert 0.5 * np.sum(np.abs(freqs - 0.25)) < 0.02
+
+
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+def test_step_mixture_is_the_posterior_mixture(kind):
+    # sum_c probs_c q(z_s | z_t, x = c) from hard-x posteriors, on the
+    # positions the mixture defines (masked: the MASK positions); per-step
+    # times index a leading axis, here before a draw axis as in the DP
+    process = DiffusionProcess(kind, 3, NoiseSchedule("cosine"))
+    rng = RngState(29)
+    z = rng.integers(0, process.vocab_eff, size=(6, 4))
+    probs = softmax(rng.normal((5, 2, 6, 4, 3)))
+    s, t = np.array([0.0, 0.1, 0.3, 0.5, 0.0]), np.array([0.2, 0.4, 0.3, 1.0, 1.0])
+    free = z == process.mask_id if process.masked else np.ones(z.shape, dtype=bool)
+    per_step = step_mixture(probs, z, s, t, process)
+    assert per_step.shape == (5, 2, 6, 4, process.vocab_eff)
+    for i in range(len(s)):
+        one = step_mixture(probs[i], z, s[i], t[i], process)
+        np.testing.assert_array_equal(per_step[i], one)
+        want = sum(probs[i, ..., c, None] * posterior(np.full(z.shape, c), z, s[i], t[i], process)
+                   for c in range(process.vocab))
+        np.testing.assert_allclose(one[:, free], want[:, free], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(one.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+@pytest.mark.parametrize("bad", [[1.2, -0.2], [np.nan, 1.0]])
+def test_ancestral_sample_rejects_bad_model_rows(kind, bad):
+    # the model's rows are checked before they are mixed: a mixture can sum
+    # to 1 with no negative entry while a row it mixes has one. The bad rows
+    # come only at the first step, whose uniform mixture of [1.2, -0.2] is
+    # [0.85, 0.15]; the last step's rows are fine
+    process = DiffusionProcess(kind, 2, NoiseSchedule("linear"))
+
+    def predict(z, t):
+        return np.broadcast_to(np.array(bad if t == 1.0 else [0.5, 0.5]), z.shape + (2,))
+
+    with pytest.raises(NumericsError):
+        ancestral_sample(predict, process, 2, RngState(0), 4, 2)
+
+
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+@pytest.mark.parametrize("steps", [1, 3, 8])
+def test_ancestral_sample_draws_once_per_step(kind, steps):
+    # one categorical draw per step, plus one for a uniform chain's start,
+    # with a predict that draws nothing itself
+    process = DiffusionProcess(kind, 3, NoiseSchedule("linear"))
+    rng = RngState(31)
+    ancestral_sample(lambda z, t: np.full(z.shape + (3,), 1.0 / 3), process, steps, rng, 16, 3)
+    assert rng.counter == steps + (0 if process.masked else 1)
+
+
+CHAIN_D, CHAIN_K, CHAIN_N = 3, 3, 40_000
+# false-alarm probability of one chain's goodness-of-fit test
+CHAIN_ALPHA = 1e-4
+
+
+def _chain_predict(process, kind):
+    """A noise-free predict on K=3, D=3: a net with random weights, whose rows
+    depend on (z, t) as a trained teacher's do, or the exact oracle of a
+    Markov chain."""
+    if kind == "oracle":
+        q = ExactDistribution(CHAIN_K, CHAIN_D,
+                              make_dataset("markov_chain", CHAIN_D, CHAIN_K, seed=3).exact_q())
+        return oracle_denoiser(q, process)
+    cfg = ModelConfig(seq_len=CHAIN_D, vocab=CHAIN_K, masked=process.masked, emb=8, hidden=16,
+                      time_width=4)
+    model = Denoiser(cfg, RngState(41))
+    model.store.values[:] = RngState(42).normal(model.store.values.shape) * 0.7
+    return model.probs
+
+
+def _chain_fit(process, predict, k):
+    """p-value of Pearson's chi-square test of CHAIN_N samples of the k-step
+    sampler against the exact chain, cells expected to hold fewer than 5
+    samples pooled into one."""
+    samples = ancestral_sample(predict, process, k, RngState(37), CHAIN_N, CHAIN_D)
+    expected = CHAIN_N * exact_chain_distribution(predict, process, k, CHAIN_D).probs
+    counts = np.bincount(seq_index(samples, CHAIN_K), minlength=len(expected))
+    small = expected < 5
+    if counts[small].sum() and not expected[small].sum():
+        return 0.0  # a sample where the chain puts no mass
+    obs, exp = counts[~small], expected[~small]
+    if expected[small].sum():
+        obs, exp = np.append(obs, counts[small].sum()), np.append(exp, expected[small].sum())
+    return stats.chi2.sf(np.sum((obs - exp) ** 2 / exp), len(obs) - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("predict", ["net", "oracle"])
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+def test_ancestral_sample_fits_the_exact_chain(kind, predict, k):
+    process = DiffusionProcess(kind, CHAIN_K, NoiseSchedule("linear"))
+    assert _chain_fit(process, _chain_predict(process, predict), k) > CHAIN_ALPHA
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+def test_chain_fit_rejects_a_wrong_mixture(monkeypatch, kind, k):
+    # the test has the power to see a wrong step: a mixture taken at s = 0
+    # jumps to the data at every step, while the DP keeps the right one
+    process = DiffusionProcess(kind, CHAIN_K, NoiseSchedule("linear"))
+    monkeypatch.setattr(process_module, "step_mixture",
+                        lambda probs, z_t, s, t, proc: step_mixture(probs, z_t, 0.0, t, proc))
+    assert _chain_fit(process, _chain_predict(process, "oracle"), k) < CHAIN_ALPHA
+
+
+# peak traced bytes of one 12,800-row uniform step, in units of n * D * K_eff
+# float64s: the predict's rows, the mixture and one clean token's term, and
+# the draw's noise and log-probabilities. Measured 4.50 (numpy 2.4); a
+# mixture that gathers table[z_t] (n, D, K, K_eff) at once measured 6.25
+STEP_PEAK_UNITS = 5.5
+
+
+def _step_peak(n, D, K):
+    process = DiffusionProcess("uniform", K, NoiseSchedule("linear"))
+
+    def predict(z, t):
+        return np.full(z.shape + (K,), 1.0 / K)
+
+    ancestral_sample(predict, process, 1, RngState(0), n, D)  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ancestral_sample(predict, process, 1, RngState(0), n, D)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (n * D * process.vocab_eff * 8)
+
+
+def test_sampler_step_memory_is_linear_in_k_eff(monkeypatch):
+    assert _step_peak(12_800, 5, 4) < STEP_PEAK_UNITS
+
+    def gathered(probs, z_t, s, t, process):  # the (n * D, K * K_eff) variant
+        table, _ = posterior_table(process, s, t)
+        return np.einsum("...c,...cj->...j", probs, table[z_t])
+
+    monkeypatch.setattr(process_module, "step_mixture", gathered)
+    assert _step_peak(12_800, 5, 4) > STEP_PEAK_UNITS
