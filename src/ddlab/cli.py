@@ -70,14 +70,18 @@ class Context(NamedTuple):
 def _context(args, field: tuple[str, str, str] | None = None) -> Context:
     """The --config file, with `field` = (section, key, raw value) set for a
     sweep point; --seed and --out over its [run] values (the output directory
-    is created, but not for a point); and the dataset and process it describes."""
+    is created, but not for a point); and the dataset and process it describes.
+    A seed outside [-2^63, 2^64) is a ConfigError: the RNG keys on it mod 2^64,
+    and `distill`'s resumable state stores it as a 64-bit integer."""
     cfg = load_config(args.config)
     if field is not None:
         cfg.set(*field)
+    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    if not -2 ** 63 <= seed < 2 ** 64:
+        raise ConfigError(f"seed {seed} is outside [-2^63, 2^64)")
     out = args.out if args.out is not None else cfg.get("run", "out_dir")
     if field is None:
         os.makedirs(out, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     return Context(cfg, seed, out, cfg.dataset(), cfg.process())
 
 

@@ -29,10 +29,73 @@ def _words(n: int) -> list[int]:
     return words
 
 
-@functools.lru_cache(maxsize=256)
-def _stream_words(seed: int, path: tuple) -> tuple:
-    """The entropy words of a stream: the 64-bit seed, then each path tag."""
-    return tuple(w for n in (seed & 0xFFFFFFFFFFFFFFFF, *path) for w in _words(n))
+# counters per cached block of Philox keys; a divisor of 2^32, so the words of a
+# counter above its lowest are the same across a block
+KEY_BLOCK = 256
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_POOL = 4
+
+
+def _powers(a: int, m: int, n: int) -> np.ndarray:
+    """The column [a, a*m, ..., a*m^n] mod 2^32."""
+    out = [a]
+    for _ in range(n):
+        out.append(out[-1] * m & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of `v`, where the row's call xors
+    with consts[i] and multiplies by consts[i + 1]."""
+    v = v ^ consts[:-1]
+    v *= consts[1:]
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words `x` with hashed words `y`."""
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> _SHIFT
+    return x
+
+
+@functools.lru_cache(maxsize=64)
+def _key_block(seed: int, path: tuple, block: int) -> np.ndarray:
+    """The Philox keys, (KEY_BLOCK, 2) uint64, that numpy's
+    SeedSequence([seed mod 2^64, *path, counter]).generate_state(2, uint64)
+    gives for the counters block * KEY_BLOCK + i: its mixing, run on every
+    counter of the block at once."""
+    head = [w for n in (seed & 0xFFFFFFFFFFFFFFFF, *path) for w in _words(n)]
+    low, *high = _words(block * KEY_BLOCK)
+    n = len(head) + 1 + len(high)
+    entropy = np.zeros((max(n, _POOL), KEY_BLOCK), dtype=np.uint32)
+    entropy[:n] = np.array(head + [0] + high, dtype=np.uint32)[:, None]
+    entropy[len(head)] = np.arange(low, low + KEY_BLOCK, dtype=np.uint32)
+    # the hash constant advances once per hashmix call, whatever the data
+    consts = _powers(_INIT_A, _MULT_A, _POOL * (_POOL + max(n - _POOL, 0)))
+    pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
+    i = _POOL
+    for src in range(_POOL):  # every pool word into every other
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[i:i + _POOL]))
+        i += _POOL - 1
+    for src in range(_POOL, n):  # the entropy past the pool, into every pool word
+        pool = _mix(pool, _hashmix(entropy[src], consts[i:i + _POOL + 1]))
+        i += _POOL
+    words = _hashmix(pool, _powers(_INIT_B, _MULT_B, _POOL)).astype(np.uint64)
+    keys = np.stack([words[0] | words[1] << np.uint64(32),
+                     words[2] | words[3] << np.uint64(32)], axis=1)
+    keys.flags.writeable = False  # the cache hands it to every draw
+    return keys
+
+
+# Philox's counter and buffer words as a new Philox sets them
+_ZEROS = [0, 0, 0, 0]
 
 
 @dataclass
@@ -40,25 +103,36 @@ class RngState:
     """Counter-based random source.
 
     A stream is identified by (seed, path); `child` appends to the path so
-    child streams never collide with the parent. Every draw derives a fresh
-    Philox generator from (seed, path, counter), so the full state is three
-    plain integers/tuples and serializes trivially. The SeedSequence gets its
-    entropy as one uint32 array: the same key as the list [seed mod 2^64,
-    *path, counter], without numpy coercing a Python list on every draw.
+    child streams never collide with the parent. Every draw keys Philox on
+    (seed, path, counter), so the full state is three plain integers/tuples
+    and serializes trivially. The key is numpy's SeedSequence hash of the
+    list [seed mod 2^64, *path, counter]; `_key_block` computes it for 256
+    counters at once and caches them, and each draw resets one Generator per
+    state to that key with a zero counter and empty buffers. The streams are
+    those of a fresh Philox(SeedSequence(...)) per draw, without building one.
+    The Generator makes an RngState unsafe to share across threads; nothing
+    draws on the no-grad forward's helper thread (`nets._run_split`).
     """
 
     seed: int
     path: tuple = ()
     counter: int = field(default=0)
+    _gen: np.random.Generator | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def child(self, tag: int) -> "RngState":
         return RngState(self.seed, self.path + (tag,), 0)
 
     def _generator(self) -> np.random.Generator:
-        entropy = np.array(_stream_words(self.seed, self.path) + tuple(_words(self.counter)),
-                           dtype=np.uint32)
+        block, i = divmod(self.counter, KEY_BLOCK)
+        key = _key_block(self.seed, self.path, block)[i].tolist()
         self.counter += 1
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=0))
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self._gen
 
     def uniform(self, size=None, low=0.0, high=1.0) -> np.ndarray:
         return self._generator().uniform(low, high, size=size)

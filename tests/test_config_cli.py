@@ -783,6 +783,31 @@ def test_cli_resume_under_another_seed_is_artifact_error(tmp_path):
     assert resume(4) == 0
 
 
+@pytest.mark.parametrize("seed", [2 ** 64, -2 ** 63 - 1])
+def test_cli_seed_outside_64_bits_is_config_error(tmp_path, seed):
+    # a resumable state stores the seed as one int64 or uint64: a seed outside
+    # [-2^63, 2^64), from --seed or [run] seed, exits 2 before any work, and
+    # the range's ends run and resume
+    path = tmp_path / "exp.ini"
+    path.write_text(BASE_CONFIG.replace("steps = 60", "steps = 3"))
+    in_ini = tmp_path / "seeded.ini"
+    in_ini.write_text(BASE_CONFIG + f"seed = {seed}\n")
+    out = tmp_path / "out"
+    for argv in (["train-teacher", "--config", str(path), "--seed", str(seed)],
+                 ["train-teacher", "--config", str(in_ini)],
+                 ["distill", "--config", str(path), "--teacher", "missing.ckpt",
+                  "--seed", str(seed)]):
+        assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    edge = 2 ** 64 - 1 if seed > 0 else -2 ** 63
+    _train_and_distill(str(path), str(out), edge)
+    longer = tmp_path / "longer.ini"
+    longer.write_text(BASE_CONFIG.replace("steps = 60", "steps = 4"))
+    assert main(["distill", "--config", str(longer), "--teacher", str(out / "teacher.ckpt"),
+                 "--seed", str(edge), "--out", str(tmp_path / "resumed"),
+                 "--resume", str(out / "distill_state.npz")]) == 0
+
+
 def test_cli_checkpoint_header_without_config_field_is_artifact_error(config_path, tmp_path):
     cfg = load_config(config_path)
     teacher = Denoiser(cfg.model_config(n_noise=0), RngState(0))

@@ -143,21 +143,29 @@ def test_rng_state_round_trip():
     np.testing.assert_array_equal(rng.normal(size=6), restored.normal(size=6))
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, 2 ** 64 - 1, -3])
-@pytest.mark.parametrize("path", [(), (3,), (2 ** 32, 5), (1, 2 ** 64 + 9, 0)])
-@pytest.mark.parametrize("counter", [0, 1, 2 ** 32, 2 ** 40 + 3])
+# the four draw kinds: RngState's, and the same draw on a numpy Generator
+DRAWS = {
+    "uniform": (lambda r: r.uniform(size=7), lambda g: g.uniform(0.0, 1.0, size=7)),
+    "normal": (lambda r: r.normal(size=(2, 3)), lambda g: g.standard_normal(size=(2, 3))),
+    "gumbel": (lambda r: r.gumbel(size=5),
+               lambda g: -np.log(-np.log(g.uniform(1e-300, 1.0, size=5)))),
+    "integers": (lambda r: r.integers(0, 1000, size=9),
+                 lambda g: g.integers(0, 1000, size=9)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, 2 ** 64 - 1, -3, 2 ** 63, -1])
+# 0 to 5 tags: with the seed and counter, 1 to 10 entropy words, so past the
+# 4-word pool into SeedSequence's tail mixing
+@pytest.mark.parametrize("path", [(), (3,), (2 ** 32, 5), (1, 2 ** 64 + 9, 0),
+                                  (4, 0, 2 ** 31, 9), (1, 2, 3, 4, 5)])
+# the edges of a key block and of the counter's 32-bit words
+@pytest.mark.parametrize("counter", [0, 1, 2 ** 32, 2 ** 40 + 3, 255, 256, 2 ** 32 - 1,
+                                     2 ** 64 + 5])
 def test_rng_draws_match_list_keyed_generator(seed, path, counter):
-    # the uint32 entropy array must key the same stream as the list
-    # [seed mod 2^64, *path, counter] that numpy coerces word by word
-    draws = {
-        "uniform": (lambda r: r.uniform(size=7), lambda g: g.uniform(0.0, 1.0, size=7)),
-        "normal": (lambda r: r.normal(size=(2, 3)), lambda g: g.standard_normal(size=(2, 3))),
-        "gumbel": (lambda r: r.gumbel(size=5),
-                   lambda g: -np.log(-np.log(g.uniform(1e-300, 1.0, size=5)))),
-        "integers": (lambda r: r.integers(0, 1000, size=9),
-                     lambda g: g.integers(0, 1000, size=9)),
-    }
-    for name, (draw, want) in draws.items():
+    # the cached key blocks must key the same stream as a SeedSequence of the
+    # list [seed mod 2^64, *path, counter] that numpy coerces word by word
+    for name, (draw, want) in DRAWS.items():
         rng = RngState(seed, path, counter)
         expected = want(rng_generator(rng))
         np.testing.assert_array_equal(draw(rng), expected, err_msg=name)
@@ -165,6 +173,63 @@ def test_rng_draws_match_list_keyed_generator(seed, path, counter):
         # the next draw keys on the advanced counter
         expected = want(rng_generator(rng))
         np.testing.assert_array_equal(draw(rng), expected, err_msg=name)
+
+
+def test_rng_draw_after_buffered_integers_matches_oracle():
+    # 31-bit integers come from half words: the draw leaves Philox with a
+    # buffered half word and a part-read buffer, which the next draw must drop
+    for name, (draw, want) in DRAWS.items():
+        rng = RngState(5, (2,))
+        rng.integers(0, 2 ** 31, size=3)
+        state = rng._gen.bit_generator.state
+        assert (state["has_uint32"], state["buffer_pos"]) == (1, 2)
+        expected = want(rng_generator(rng))
+        np.testing.assert_array_equal(draw(rng), expected, err_msg=name)
+
+
+def test_rng_interleaved_streams_match_one_at_a_time():
+    # a parent, its child and a from_state copy each keep their own stream
+    # when their draws interleave
+    def streams():
+        parent = RngState(8, (1,))
+        parent.uniform(size=2)
+        return [parent, parent.child(3), RngState.from_state(parent.state())]
+
+    kinds = list(DRAWS.values())
+    one_at_a_time = [[kinds[(i + j) % 4][0](rng) for j in range(300)]
+                     for i, rng in enumerate(streams())]
+    interleaved = [[] for _ in range(3)]
+    rngs = streams()
+    for j in range(300):
+        for i, rng in enumerate(rngs):
+            interleaved[i].append(kinds[(i + j) % 4][0](rng))
+    for got, want in zip(interleaved, one_at_a_time):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_rng_draws_build_no_seed_sequence(monkeypatch):
+    # the keys come from cached blocks: 1,000 draws on one stream hash no
+    # SeedSequence and build at most one Philox, at the first draw
+    calls = {"SeedSequence": 0, "Philox": 0}
+
+    def counting(name):
+        real = getattr(np.random, name)
+
+        def make(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return make
+
+    for name in calls:
+        monkeypatch.setattr(np.random, name, counting(name))
+    rng = RngState(12, (4,))
+    for i in range(1000):
+        rng.normal(size=2)
+        if i == 0:
+            assert calls["Philox"] <= 1
+            calls["Philox"] = 0
+    assert calls == {"SeedSequence": 0, "Philox": 0}
 
 
 def test_rng_negative_path_tag_is_rejected():
